@@ -1,19 +1,17 @@
-// Roofline-style bench for the batched (SELL-C-σ) window-sweep execution
+// Roofline-style bench for the batched (SELL-C) window-sweep execution
 // layer: elements/s of the scalar host sweep vs the lane-batched kernels
-// across lane widths C ∈ {4, 8, 16} and σ-policies (none / length /
-// position-length), with an estimated memory-bandwidth figure per cell so
-// the vector speedup can be read against the streaming roofline. One
+// at lane widths C ∈ {8, 16}, with an estimated memory-bandwidth figure per
+// cell so the vector speedup can be read against the streaming roofline. One
 // "element" is one unit of sweep work: an admitted observation (one pass
 // of the moment-sum m-loop) or one per-(observation, bandwidth)
 // recombination — both counted exactly from the admission-window lengths,
 // not sampled. Batched cells also report the contiguous-run rate (the
 // fraction of phase-2 steps served by the block-load/transpose fast path
-// instead of a gather) and the resolved software-prefetch distance. Cells
-// land in BENCH_vector.json in the working directory.
+// instead of a gather). Cells land in BENCH_vector.json in the working
+// directory.
 //
 //   KREG_BENCH_FULL=1     adds the n = 10⁶ row (default stops at 10⁵)
 //   KREG_BENCH_REPS=N     timing repetitions per cell (median)
-//   KREG_PREFETCH_DIST=N  software-prefetch distance for the batched cells
 #include <cstdio>
 #include <numeric>
 #include <string>
@@ -29,8 +27,6 @@ struct Cell {
   std::size_t k;
   const char* kernel;
   std::size_t lane_width;  // 0 = the scalar reference sweep
-  const char* sigma_policy;
-  std::size_t prefetch;
   double contig_rate;  // fraction of phase-2 steps on the transpose path
   double seconds;
   double elements_per_s;
@@ -50,12 +46,10 @@ void write_json(const std::vector<Cell>& cells, const char* path) {
     std::fprintf(f,
                  "    {\"n\": %zu, \"k\": %zu, \"kernel\": \"%s\", "
                  "\"lane_width\": %zu, "
-                 "\"sigma_policy\": \"%s\", \"prefetch_distance\": %zu, "
                  "\"contig_rate\": %.4f, \"seconds\": %.6e, "
                  "\"elements_per_s\": %.6e, \"est_gbps\": %.3f, "
                  "\"speedup_vs_scalar\": %.3f}%s\n",
-                 c.n, c.k, c.kernel, c.lane_width, c.sigma_policy, c.prefetch,
-                 c.contig_rate, c.seconds, c.elements_per_s, c.est_gbps,
+                 c.n, c.k, c.kernel, c.lane_width, c.contig_rate, c.seconds, c.elements_per_s, c.est_gbps,
                  c.speedup, i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -71,9 +65,6 @@ int main() {
   const std::size_t k = 50;
   kreg::rng::Stream stream(2024);
   std::vector<Cell> cells;
-
-  const std::size_t prefetch =
-      kreg::resolve_prefetch_distance(kreg::kPrefetchFromEnv);
 
   std::vector<std::size_t> sizes = {100000};
   if (kreg::bench::full_mode()) {
@@ -94,8 +85,9 @@ int main() {
     // (observation, bandwidth).
     const auto sorted = kreg::sort_dataset<double>(data.x, data.y);
     const std::vector<std::size_t> lengths =
-        kreg::admission_window_lengths<double>(
-            std::span<const double>(sorted.x), h_max);
+        kreg::admission_windows<double>(std::span<const double>(sorted.x),
+                                        h_max)
+            .length;
     const double admissions = static_cast<double>(
         std::accumulate(lengths.begin(), lengths.end(), std::size_t{0}));
     const double elements = admissions + static_cast<double>(n * k);
@@ -118,15 +110,6 @@ int main() {
                    {kreg::KernelType::kEpanechnikov, "epanechnikov"},
                    {kreg::KernelType::kTriweight, "triweight"}};
 
-    const struct {
-      kreg::SigmaPolicy policy;
-      const char* name;
-      const char* label;  // row suffix in the printed table
-    } policies[] = {
-        {kreg::SigmaPolicy::kNone, "none", ""},
-        {kreg::SigmaPolicy::kLength, "length", " +len"},
-        {kreg::SigmaPolicy::kPositionLength, "position-length", " +pos"}};
-
     for (const auto& kernel : kernels) {
       kreg::bench::banner("VECTOR SWEEP — n = " + std::to_string(n) +
                           ", k = " + std::to_string(k) + ", " + kernel.name +
@@ -147,35 +130,29 @@ int main() {
                      Table::fmt_double(elements / t_scalar / 1e6, 1),
                      Table::fmt_double(bytes / t_scalar / 1e9, 2), "-",
                      "1.0x"});
-      cells.push_back({n, k, kernel.name, 0, "none", 0, 0.0, t_scalar,
+      cells.push_back({n, k, kernel.name, 0, 0.0, t_scalar,
                        elements / t_scalar, bytes / t_scalar / 1e9, 1.0});
 
-      for (const std::size_t width : {4u, 8u, 16u}) {
-        for (const auto& pol : policies) {
-          kreg::BatchedSweep batched;
-          batched.lane_width = width;
-          batched.sigma = pol.policy;
-          batched.prefetch_distance = prefetch;
-          kreg::BatchRunStats stats;
-          const double t = kreg::bench::time_median(
-              [&] {
-                stats = {};
-                (void)kreg::window_cv_profile_batched(
-                    data, grid.values(), kernel.type,
-                    kreg::Precision::kDouble, batched, {}, nullptr, &stats);
-              },
-              reps);
-          const std::string label = "C=" + std::to_string(width) + pol.label;
-          table.add_row(
-              {label, Table::fmt_seconds(t),
-               Table::fmt_double(elements / t / 1e6, 1),
-               Table::fmt_double(bytes / t / 1e9, 2),
-               Table::fmt_double(100.0 * stats.contig_rate(), 1) + "%",
-               Table::fmt_double(t_scalar / t, 2) + "x"});
-          cells.push_back({n, k, kernel.name, width, pol.name, prefetch,
-                           stats.contig_rate(), t, elements / t,
-                           bytes / t / 1e9, t_scalar / t});
-        }
+      for (const std::size_t width : {8u, 16u}) {
+        kreg::BatchedSweep batched;
+        batched.lane_width = width;
+        kreg::BatchRunStats stats;
+        const double t = kreg::bench::time_median(
+            [&] {
+              stats = {};
+              (void)kreg::window_cv_profile_batched(
+                  data, grid.values(), kernel.type, kreg::Precision::kDouble,
+                  batched, {}, nullptr, &stats);
+            },
+            reps);
+        table.add_row(
+            {"C=" + std::to_string(width), Table::fmt_seconds(t),
+             Table::fmt_double(elements / t / 1e6, 1),
+             Table::fmt_double(bytes / t / 1e9, 2),
+             Table::fmt_double(100.0 * stats.contig_rate(), 1) + "%",
+             Table::fmt_double(t_scalar / t, 2) + "x"});
+        cells.push_back({n, k, kernel.name, width, stats.contig_rate(), t,
+                         elements / t, bytes / t / 1e9, t_scalar / t});
       }
       table.print();
     }

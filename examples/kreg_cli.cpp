@@ -32,17 +32,8 @@
 //   --memory-budget S device-memory budget for auto (n, k)-blocking, e.g.
 //                     128MiB (sizes accept b/KB/KiB/MB/MiB/...)
 //   --lane-width N    lanes per batch for the batched window kernels
-//                     (0 = auto, 1 = scalar, 4/8/16 = vector widths;
+//                     (0 = auto, 1 = scalar, 8/16 = vector widths;
 //                     spmd window methods and the tiled host mirror)
-//   --sigma-sort on|off  enable/disable the σ-sort before lane batching
-//                     (on = the default position-length policy; bitwise
-//                     identical either way)
-//   --sigma-policy none|length|position-length  exact σ-sort policy:
-//                     length = PR 6's window-length sort, position-length
-//                     = two-key position-bucket + length sort (default)
-//   --prefetch-distance N  software-prefetch admission lines N phase-2
-//                     steps ahead in the batched kernels (0 = off, the
-//                     default; also KREG_PREFETCH_DIST)
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -66,9 +57,7 @@ namespace {
                "triweight|cosine|gaussian]\n"
                "  [--k K] [--hmin H] [--hmax H] [--refine] [--curve N]\n"
                "  [--k-block N] [--n-block N] [--memory-budget SIZE]\n"
-               "  [--lane-width 0|1|4|8|16] [--sigma-sort on|off]\n"
-               "  [--sigma-policy none|length|position-length]\n"
-               "  [--prefetch-distance N]\n",
+               "  [--lane-width 0|1|8|16]\n",
                argv0);
   std::exit(2);
 }
@@ -116,13 +105,6 @@ class TiledWindowSelector final : public kreg::Selector {
     const std::size_t lanes = kreg::resolve_lane_width(batched_.lane_width);
     if (lanes > 1) {
       n += ",lanes=" + std::to_string(lanes);
-      if (batched_.sigma != kreg::SigmaPolicy::kNone) {
-        n += ",sigma=" + std::string(kreg::to_string(batched_.sigma));
-      }
-      if (batched_.prefetch_distance != kreg::kPrefetchFromEnv &&
-          batched_.prefetch_distance != 0) {
-        n += ",prefetch=" + std::to_string(batched_.prefetch_distance);
-      }
     }
     n += ")";
     return n;
@@ -203,27 +185,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--lane-width") {
       batched.lane_width = std::strtoul(next().c_str(), nullptr, 10);
-    } else if (arg == "--sigma-sort") {
-      const std::string v = next();
-      if (v != "on" && v != "off") {
-        usage(argv[0]);
-      }
-      batched.sigma = v == "on" ? kreg::SigmaPolicy::kPositionLength
-                                : kreg::SigmaPolicy::kNone;
-    } else if (arg == "--sigma-policy") {
-      try {
-        batched.sigma = kreg::parse_sigma_policy(next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        usage(argv[0]);
-      }
-    } else if (arg == "--prefetch-distance") {
-      try {
-        batched.prefetch_distance = kreg::parse_prefetch_distance(next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        usage(argv[0]);
-      }
     } else if (arg.rfind("--", 0) == 0) {
       usage(argv[0]);
     } else {
@@ -391,8 +352,9 @@ int main(int argc, char** argv) {
     } else if (method == "tiled") {
       selector = std::make_unique<TiledWindowSelector>(
           kernel, kreg::host_tiling_from_stream(stream), batched);
-    } else if (method == "spmd-per-row" || method == "spmd-window") {
-      // spmd-window is kept as an explicit alias now that plain spmd
+    } else if (method == "spmd" || method == "spmd-window" ||
+               method == "spmd-per-row") {
+      // spmd-window is kept as an explicit alias of plain spmd, which
       // defaults to the window sweep.
       device = std::make_unique<kreg::spmd::Device>();
       kreg::SpmdSelectorConfig cfg;
@@ -402,8 +364,6 @@ int main(int argc, char** argv) {
                           : kreg::SweepAlgorithm::kWindow;
       cfg.stream = stream;
       cfg.lane_width = batched.lane_width;
-      cfg.sigma = batched.sigma;
-      cfg.prefetch_distance = batched.prefetch_distance;
       selector = std::make_unique<kreg::SpmdGridSelector>(*device, cfg);
     } else if (method == "parallel") {
       selector = std::make_unique<kreg::ParallelSortedGridSelector>(kernel);
@@ -411,15 +371,6 @@ int main(int argc, char** argv) {
       selector = std::make_unique<kreg::NaiveGridSelector>(kernel);
     } else if (method == "dense") {
       selector = std::make_unique<kreg::DenseGridSelector>(kernel);
-    } else if (method == "spmd") {
-      device = std::make_unique<kreg::spmd::Device>();
-      kreg::SpmdSelectorConfig cfg;
-      cfg.kernel = kernel;
-      cfg.stream = stream;
-      cfg.lane_width = batched.lane_width;
-      cfg.sigma = batched.sigma;
-      cfg.prefetch_distance = batched.prefetch_distance;
-      selector = std::make_unique<kreg::SpmdGridSelector>(*device, cfg);
     } else if (method == "optimizer") {
       kreg::CvOptimizerSelector::Config cfg;
       cfg.kernel = kernel;

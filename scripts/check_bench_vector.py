@@ -4,9 +4,9 @@
 Fails (exit 1) if, at n = 10^5, the best batched Epanechnikov cell's
 elements/s falls below the scalar tiled sweep's — the regression this
 guards is the lane-batched gather kernels losing their vector margin
-(e.g. the σ ordering or the contiguous-run fast path silently breaking).
-Timing noise is absorbed by taking the *best* batched cell across lane
-widths and σ policies, so only a wholesale loss trips it.
+(e.g. the contiguous-run fast path silently breaking). Timing noise is
+absorbed by taking the *best* batched cell across lane widths, so only a
+wholesale loss trips it.
 
 Usage: check_bench_vector.py [BENCH_vector.json]
 """
@@ -39,8 +39,7 @@ def main() -> int:
     best_eps = best["elements_per_s"]
     ratio = best_eps / scalar_eps
     print(f"scalar {kernel} n={n}: {scalar_eps:.3e} elem/s")
-    print(f"best batched: C={best['lane_width']} "
-          f"sigma={best['sigma_policy']} {best_eps:.3e} elem/s "
+    print(f"best batched: C={best['lane_width']} {best_eps:.3e} elem/s "
           f"({ratio:.2f}x, contig_rate={best['contig_rate']:.2f})")
     if best_eps < scalar_eps:
         print("FAIL: batched Epanechnikov is slower than the scalar tiled "

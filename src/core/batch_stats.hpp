@@ -14,17 +14,10 @@ namespace kreg {
 struct BatchRunStats {
   std::uint64_t contig_steps = 0;  ///< steps served by contiguous block loads
   std::uint64_t gather_steps = 0;  ///< steps served by per-lane gathers
-  /// Calls routed to the scalar tiled sweep instead of a vector path: the
-  /// C = 4 narrow batch loses to scalar on the host (ROADMAP measurement),
-  /// so lane_width = 4 host requests take the scalar sweep and note it
-  /// here. The profile is bitwise identical either way (batched == scalar
-  /// parity), so routing is observable only through this counter.
-  std::uint64_t scalar_routed = 0;
 
   constexpr BatchRunStats& operator+=(const BatchRunStats& other) {
     contig_steps += other.contig_steps;
     gather_steps += other.gather_steps;
-    scalar_routed += other.scalar_routed;
     return *this;
   }
 

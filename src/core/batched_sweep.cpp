@@ -1,8 +1,6 @@
 #include "core/batched_sweep.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -10,86 +8,17 @@
 #include "core/validate_grid.hpp"
 #include "core/window_sweep.hpp"
 #include "parallel/parallel_for.hpp"
-#include "sort/two_key.hpp"
 
 namespace kreg {
-
-const char* to_string(SigmaPolicy policy) {
-  switch (policy) {
-    case SigmaPolicy::kNone:
-      return "none";
-    case SigmaPolicy::kLength:
-      return "length";
-    case SigmaPolicy::kPositionLength:
-      return "position-length";
-  }
-  return "unknown";
-}
-
-SigmaPolicy parse_sigma_policy(std::string_view text) {
-  if (text == "none") {
-    return SigmaPolicy::kNone;
-  }
-  if (text == "length") {
-    return SigmaPolicy::kLength;
-  }
-  if (text == "position-length") {
-    return SigmaPolicy::kPositionLength;
-  }
-  throw std::invalid_argument(
-      "parse_sigma_policy: '" + std::string(text) +
-      "' is not a sigma policy (expected none, length, or position-length)");
-}
-
-std::size_t parse_prefetch_distance(std::string_view text) {
-  if (text.empty()) {
-    throw std::invalid_argument(
-        "parse_prefetch_distance: empty input (expected a base-10 step "
-        "count, 0 = off)");
-  }
-  std::size_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument(
-          "parse_prefetch_distance: '" + std::string(text) +
-          "' is not a non-negative base-10 step count (0 = off)");
-    }
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-    if (value > kMaxPrefetchDistance) {
-      throw std::invalid_argument(
-          "parse_prefetch_distance: '" + std::string(text) +
-          "' exceeds the maximum distance of " +
-          std::to_string(kMaxPrefetchDistance));
-    }
-  }
-  return value;
-}
-
-std::size_t resolve_prefetch_distance(std::size_t requested) {
-  if (requested == kPrefetchFromEnv) {
-    const char* env = std::getenv("KREG_PREFETCH_DIST");
-    if (env == nullptr || *env == '\0') {
-      return 0;
-    }
-    return parse_prefetch_distance(env);
-  }
-  if (requested > kMaxPrefetchDistance) {
-    throw std::invalid_argument(
-        "prefetch_distance must be at most " +
-        std::to_string(kMaxPrefetchDistance) + " (got " +
-        std::to_string(requested) + ")");
-  }
-  return requested;
-}
 
 std::size_t resolve_lane_width(std::size_t requested) {
   if (requested == 0) {
     return kDefaultLaneWidth;
   }
-  if (requested == 1 || requested == 4 || requested == 8 || requested == 16) {
+  if (requested == 1 || requested == 8 || requested == 16) {
     return requested;
   }
-  throw std::invalid_argument("lane_width must be 0 (auto), 1, 4, 8, or 16 (got " +
+  throw std::invalid_argument("lane_width must be 0 (auto), 1, 8, or 16 (got " +
                               std::to_string(requested) + ")");
 }
 
@@ -98,11 +27,10 @@ AdmissionWindows admission_windows(std::span<const Scalar> xs_sorted,
                                    Scalar h_max) {
   const std::size_t n = xs_sorted.size();
   AdmissionWindows win;
-  win.lo.resize(n);
   win.length.resize(n);
   // Both window bounds at h_max are monotone in pos, so one two-pointer
-  // pass computes every (lo, length) — the same O(n) discipline as the
-  // sweep itself, using its exact admission predicate.
+  // pass computes every length — the same O(n) discipline as the sweep
+  // itself, using its exact admission predicate.
   std::size_t lo = 0;
   std::size_t hi = 0;
   for (std::size_t pos = 0; pos < n; ++pos) {
@@ -116,7 +44,6 @@ AdmissionWindows admission_windows(std::span<const Scalar> xs_sorted,
     while (hi + 1 < n && xs_sorted[hi + 1] - x <= h_max) {
       ++hi;
     }
-    win.lo[pos] = lo;
     win.length[pos] = hi - lo + 1;
   }
   return win;
@@ -127,81 +54,19 @@ template AdmissionWindows admission_windows<float>(std::span<const float>,
 template AdmissionWindows admission_windows<double>(std::span<const double>,
                                                     double);
 
-template <class Scalar>
-std::vector<std::size_t> admission_window_lengths(
-    std::span<const Scalar> xs_sorted, Scalar h_max) {
-  return admission_windows<Scalar>(xs_sorted, h_max).length;
-}
-
-template std::vector<std::size_t> admission_window_lengths<float>(
-    std::span<const float>, float);
-template std::vector<std::size_t> admission_window_lengths<double>(
-    std::span<const double>, double);
-
-std::vector<std::uint32_t> sigma_batch_order(
-    std::span<const std::size_t> lengths, std::span<const std::size_t> los,
-    std::size_t begin, std::size_t end, std::size_t scope,
-    SigmaPolicy policy, std::size_t position_bucket) {
-  const std::size_t count = end - begin;
-  std::vector<std::uint32_t> order(count);
-  std::iota(order.begin(), order.end(), std::uint32_t{0});
-  if (policy == SigmaPolicy::kNone || count == 0) {
-    return order;
-  }
-  if (policy == SigmaPolicy::kPositionLength && los.size() < end) {
-    throw std::invalid_argument(
-        "sigma_batch_order: position-length policy needs window lo indices "
-        "covering [begin, end)");
-  }
-  const std::size_t bucket = position_bucket == 0 ? 1 : position_bucket;
-  const std::size_t step = scope == 0 ? count : scope;
-  std::vector<std::uint32_t> scratch;
-  for (std::size_t s0 = 0; s0 < count; s0 += step) {
-    const std::size_t s1 = std::min(s0 + step, count);
-    if (policy == SigmaPolicy::kLength) {
-      // Stable and descending: equal-length rows keep ascending order, so
-      // the permutation is deterministic.
-      std::stable_sort(order.begin() + static_cast<std::ptrdiff_t>(s0),
-                       order.begin() + static_cast<std::ptrdiff_t>(s1),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return lengths[begin + a] > lengths[begin + b];
-                       });
-    } else {
-      // Two-key: position bucket ascending (gather locality), length
-      // descending inside a bucket (small padded tails), stable (rows
-      // equal under both keys keep ascending order — deterministic).
-      sort::two_key_argsort(
-          std::span<std::uint32_t>(order.data() + s0, s1 - s0),
-          [&](std::uint32_t r) { return los[begin + r] / bucket; },
-          [&](std::uint32_t r) { return lengths[begin + r]; }, scratch);
-    }
-  }
-  return order;
-}
-
-std::vector<std::uint32_t> sigma_batch_order(
-    std::span<const std::size_t> lengths, std::size_t begin, std::size_t end,
-    std::size_t scope, bool sigma_sort) {
-  return sigma_batch_order(
-      lengths, {}, begin, end, scope,
-      sigma_sort ? SigmaPolicy::kLength : SigmaPolicy::kNone, 1);
-}
-
 namespace {
 
 /// The batched mirror of window_sweep.cpp's profile_tiled: same tiling
 /// defaults, same tile-order combination, same per-tile ascending-row fold
-/// into the accumulator — only the per-row sweep is replaced by σ-sorted
-/// C-wide lane batches staging their residuals in a tile-local buffer.
-/// Because the fold visits buffered residuals in exactly the (row, b)
-/// order the scalar tiled kernel adds them, the profile is bitwise
-/// identical to the scalar one for any lane width, σ policy, and prefetch
-/// distance.
+/// into the accumulator — only the per-row sweep is replaced by C-wide lane
+/// batches of consecutive rows. Because every accumulator entry receives
+/// its residuals in the same ascending row order as the scalar tiled
+/// kernel, the profile is bitwise identical to the scalar one for any lane
+/// width.
 template <class Scalar, std::size_t C>
 std::vector<double> profile_batched(const data::Dataset& data,
                                     std::span<const double> grid,
-                                    KernelType kernel, SigmaPolicy sigma,
-                                    std::size_t prefetch, HostTiling tiling,
+                                    KernelType kernel, HostTiling tiling,
                                     parallel::ThreadPool* pool,
                                     BatchRunStats* stats) {
   const std::size_t n = data.size();
@@ -220,10 +85,6 @@ std::vector<double> profile_batched(const data::Dataset& data,
   const std::span<const Scalar> xs(sorted.x);
   const std::span<const Scalar> ys(sorted.y);
 
-  // σ keys: admission-window (lo, length) at h_max, shared by every tile.
-  const AdmissionWindows win =
-      admission_windows<Scalar>(xs, host_grid.back());
-
   const std::size_t tiles = (n + n_block - 1) / n_block;
   std::vector<std::vector<double>> partials(tiles,
                                             std::vector<double>(k, 0.0));
@@ -238,41 +99,31 @@ std::vector<double> profile_batched(const data::Dataset& data,
         BatchRunStats* tstats =
             stats != nullptr ? &tile_stats[tile] : nullptr;
 
-        // Batch membership: the tile is the σ-scope; consecutive C rows of
-        // the (possibly σ-sorted) order form one batch, the last padded.
-        const std::vector<std::uint32_t> order = sigma_batch_order(
-            win.length, win.lo, begin, begin + nb, nb, sigma,
-            sigma_position_bucket(sizeof(Scalar)));
+        // Batch g holds the tile's rows [g·C, g·C + C), the last padded.
         const std::size_t nbatches = (nb + C - 1) / C;
         std::vector<detail::LaneBatch<Scalar, C>> batches(nbatches);
         for (std::size_t g = 0; g < nbatches; ++g) {
           detail::LaneBatch<Scalar, C>& st = batches[g];
           st.lanes = std::min(C, nb - g * C);
           for (std::size_t l = 0; l < st.lanes; ++l) {
-            st.pos[l] = begin + order[g * C + l];
+            st.pos[l] = begin + g * C + l;
           }
           detail::batch_seed(st, xs, ys);
         }
 
-        // Residuals staged per (row, bandwidth-in-block) so the fold below
-        // can run in ascending row order regardless of batch order.
-        std::vector<Scalar> buf(nb * k_block);
-
+        // Batches run in row order and each emits its lanes in row order,
+        // so every acc[b] receives residuals in ascending row order — the
+        // scalar tiled kernel's fold order — without a staging buffer.
         for (std::size_t b0 = 0; b0 < k; b0 += k_block) {
           const std::size_t kb = std::min(k_block, k - b0);
           const std::span<const Scalar> hs(host_grid.data() + b0, kb);
           for (detail::LaneBatch<Scalar, C>& st : batches) {
             detail::batch_resume(
                 st, xs, ys, hs, poly,
-                [&](std::size_t b, std::size_t l, Scalar sq) {
-                  buf[(st.pos[l] - begin) * kb + b] = sq;
+                [&](std::size_t b, std::size_t, Scalar sq) {
+                  acc[b0 + b] += static_cast<double>(sq);
                 },
-                prefetch, tstats);
-          }
-          for (std::size_t r = 0; r < nb; ++r) {
-            for (std::size_t b = 0; b < kb; ++b) {
-              acc[b0 + b] += static_cast<double>(buf[r * kb + b]);
-            }
+                tstats);
           }
         }
       },
@@ -316,27 +167,13 @@ std::vector<double> window_cv_profile_batched(const data::Dataset& data,
         "' is not supported by the window sweep; use the naive path");
   }
   const std::size_t lane_width = resolve_lane_width(batched.lane_width);
-  const std::size_t prefetch =
-      resolve_prefetch_distance(batched.prefetch_distance);
-  if (lane_width == 4) {
-    // The C = 4 narrow batch loses to the scalar sweep on every measured
-    // host (ROADMAP: the transpose fast path cannot amortize 4-lane
-    // shuffles), so an explicit lane_width = 4 request takes the scalar
-    // tiled sweep. Bitwise identical by the batched == scalar parity
-    // contract; the rerouting is visible only in the stats ledger.
-    if (stats != nullptr) {
-      ++stats->scalar_routed;
-    }
-    return window_cv_profile_tiled(data, grid, kernel, precision, tiling,
-                                   pool);
-  }
   return detail::with_lane_width(lane_width, [&](auto width) {
     constexpr std::size_t C = decltype(width)::value;
     return precision == Precision::kFloat
-               ? profile_batched<float, C>(data, grid, kernel, batched.sigma,
-                                           prefetch, tiling, pool, stats)
-               : profile_batched<double, C>(data, grid, kernel, batched.sigma,
-                                            prefetch, tiling, pool, stats);
+               ? profile_batched<float, C>(data, grid, kernel, tiling, pool,
+                                           stats)
+               : profile_batched<double, C>(data, grid, kernel, tiling, pool,
+                                            stats);
   });
 }
 

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "core/batch_stats.hpp"
@@ -14,94 +12,33 @@
 
 namespace kreg {
 
-/// How each σ-scope's observations are ordered before being grouped into
-/// C-wide lane batches. Every policy is purely a scheduling permutation:
-/// profiles are bitwise identical across all three.
-enum class SigmaPolicy : std::uint8_t {
-  /// Identity order (ascending sorted position).
-  kNone = 0,
-  /// Descending admission-window length at h_max, stable — the classic
-  /// SELL-C-σ key: lanes of one batch do similar numbers of phase-2
-  /// steps, so zero-padded tail work stays small.
-  kLength,
-  /// Two-key: primary by admission-window *position* (the window's lo
-  /// index at h_max, bucketed to cache-line-sized ranges, ascending),
-  /// secondary by length (descending), stable. Lanes of one batch admit
-  /// from overlapping index ranges, so phase-2 loads hit the same cache
-  /// lines and the contiguous-run transpose fast path fires (see
-  /// detail/batched_lanes_contig.hpp) — while the in-bucket length key
-  /// keeps the padding-tail benefit of kLength.
-  kPositionLength,
-};
-
-/// "none" / "length" / "position-length".
-const char* to_string(SigmaPolicy policy);
-
-/// Strict inverse of to_string: anything else throws std::invalid_argument
-/// naming the offending text and the accepted values.
-SigmaPolicy parse_sigma_policy(std::string_view text);
-
-/// Position-bucket width for SigmaPolicy::kPositionLength: one 64-byte
-/// cache line of elements (8 doubles, 16 floats).
-constexpr std::size_t sigma_position_bucket(std::size_t scalar_bytes) {
-  return 64 / scalar_bytes;
-}
-
-/// The requested prefetch distance that means "consult KREG_PREFETCH_DIST,
-/// default off" (see resolve_prefetch_distance).
-inline constexpr std::size_t kPrefetchFromEnv = static_cast<std::size_t>(-1);
-
-/// Upper bound on an explicit prefetch distance; beyond this the prefetch
-/// would target lines evicted long before use.
-inline constexpr std::size_t kMaxPrefetchDistance = 1024;
-
-/// Parses a prefetch distance: base-10 digits only (so "-1", "4x", "" and
-/// friends are rejected with a clear error), at most kMaxPrefetchDistance.
-/// 0 = prefetch off.
-std::size_t parse_prefetch_distance(std::string_view text);
-
-/// Resolves a requested prefetch distance: kPrefetchFromEnv reads
-/// KREG_PREFETCH_DIST (unset/empty → 0 = off, otherwise parsed strictly);
-/// explicit values pass through after the kMaxPrefetchDistance check.
-std::size_t resolve_prefetch_distance(std::size_t requested);
-
-/// Configuration of the batched (SELL-C-σ-style) window-sweep execution
-/// layer: observations are grouped into C-wide lanes with
-/// structure-of-arrays state so the sweep's hot loops vectorize, and
-/// batches are σ-sorted so the lanes of one batch do similar work from
-/// nearby positions (small zero-padded tails, coherent simulated warps,
-/// cache-resident gathers). See core/detail/batched_lanes.hpp for the
-/// kernel itself.
+/// Configuration of the batched window-sweep execution layer: observations
+/// are grouped into C-wide lanes with structure-of-arrays state so the
+/// sweep's hot loops vectorize. Batch g of a tile holds its rows
+/// [g·C, g·C + C) of the globally sorted array, so the lanes of one batch
+/// admit from overlapping windows (small zero-padded tails, coherent
+/// simulated warps, contiguous-run loads). See core/detail/batched_lanes.hpp
+/// for the kernel itself.
 struct BatchedSweep {
   /// Lanes per batch. 0 = auto (kDefaultLaneWidth); 1 runs the batch
-  /// machinery degenerately (the parity anchor); 4/8/16 are the vector
+  /// machinery degenerately (the parity anchor); 8/16 are the vector
   /// widths. Any other value throws.
   std::size_t lane_width = 0;
-  /// σ-scope ordering policy (see SigmaPolicy). Purely a scheduling
-  /// permutation: profiles are bitwise identical for every policy.
-  SigmaPolicy sigma = SigmaPolicy::kPositionLength;
-  /// Software-prefetch distance, in phase-2 steps ahead, for the
-  /// lane-resume inner loops. 0 = off; kPrefetchFromEnv (the default)
-  /// reads KREG_PREFETCH_DIST. Observational only — never changes values.
-  std::size_t prefetch_distance = kPrefetchFromEnv;
 };
 
 /// The auto lane width: 8 doubles span two AVX2 vectors (one AVX-512), and
 /// 8 floats exactly one AVX2 vector.
 inline constexpr std::size_t kDefaultLaneWidth = 8;
 
-/// Resolves a requested lane width: 0 → kDefaultLaneWidth; 1/4/8/16 pass
+/// Resolves a requested lane width: 0 → kDefaultLaneWidth; 1/8/16 pass
 /// through; anything else throws std::invalid_argument.
 std::size_t resolve_lane_width(std::size_t requested);
 
-/// Per-observation admission windows at h_max on the sorted array: `lo[pos]`
-/// is the smallest index with |x_lo − x_pos| ≤ h_max (the σ position key)
-/// and `length[pos]` = |{l : |x_l − x_pos| ≤ h_max}| (the σ length key and
-/// the exact number of elements the sweep will admit for that observation
-/// across the whole grid). One O(n) two-pointer pass (both bounds are
-/// monotone in pos).
+/// Per-observation admission-window lengths at h_max on the sorted array:
+/// `length[pos]` = |{l : |x_l − x_pos| ≤ h_max}|, the exact number of
+/// elements the sweep will admit for that observation across the whole
+/// grid. One O(n) two-pointer pass (both window bounds are monotone in pos).
 struct AdmissionWindows {
-  std::vector<std::size_t> lo;
   std::vector<std::size_t> length;
 };
 
@@ -114,46 +51,15 @@ extern template AdmissionWindows admission_windows<float>(
 extern template AdmissionWindows admission_windows<double>(
     std::span<const double>, double);
 
-/// The length component alone (kept for call sites that only need the
-/// element counts, e.g. the bench's exact work accounting).
-template <class Scalar>
-std::vector<std::size_t> admission_window_lengths(
-    std::span<const Scalar> xs_sorted, Scalar h_max);
-
-extern template std::vector<std::size_t> admission_window_lengths<float>(
-    std::span<const float>, float);
-extern template std::vector<std::size_t> admission_window_lengths<double>(
-    std::span<const double>, double);
-
-/// The σ-sorted batch order for rows [begin, end): returns row indices
-/// *relative to begin*, grouped in σ-scopes of `scope` rows (the last
-/// scope may be short; 0 = one scope spanning the whole range), each scope
-/// stably ordered per `policy`. Consecutive lane_width entries of the
-/// result form one batch. `los` is only read under kPositionLength (pass
-/// AdmissionWindows::lo; it must cover [begin, end) then);
-/// `position_bucket` is the position-key bucket width in elements
-/// (sigma_position_bucket(sizeof(Scalar)); values < 1 are clamped to 1).
-std::vector<std::uint32_t> sigma_batch_order(
-    std::span<const std::size_t> lengths, std::span<const std::size_t> los,
-    std::size_t begin, std::size_t end, std::size_t scope,
-    SigmaPolicy policy, std::size_t position_bucket);
-
-/// Length-only convenience overload (the PR 6 surface): sigma_sort maps to
-/// kLength / kNone.
-std::vector<std::uint32_t> sigma_batch_order(
-    std::span<const std::size_t> lengths, std::size_t begin, std::size_t end,
-    std::size_t scope, bool sigma_sort);
-
 /// The batched window-sweep CV profile: same contract as
 /// `window_cv_profile_tiled` (tiles scheduled across the pool, k-blocks
 /// innermost, deterministic tile-order combination), with each tile's
-/// observations executed as σ-sorted C-wide lane batches. Residuals are
-/// staged per tile and folded in ascending observation order, so the
-/// result is **bitwise identical** to `window_cv_profile_tiled` with the
-/// same tiling — and to the sequential `window_cv_profile` whenever one
-/// tile covers the dataset — for every lane width, σ policy, and prefetch
-/// distance. `stats`, when non-null, receives the summed contiguous-run /
-/// gather step ledger of every tile.
+/// observations executed as C-wide lane batches of consecutive rows.
+/// Each tile folds its residuals in ascending observation order, so the
+/// result is **bitwise identical** to `window_cv_profile_tiled` with
+/// the same tiling — and to the sequential `window_cv_profile` whenever one
+/// tile covers the dataset — for every lane width. `stats`, when non-null,
+/// receives the summed contiguous-run / gather step ledger of every tile.
 std::vector<double> window_cv_profile_batched(
     const data::Dataset& data, std::span<const double> grid,
     KernelType kernel, Precision precision = Precision::kDouble,

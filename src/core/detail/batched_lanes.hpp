@@ -15,7 +15,8 @@
 
 namespace kreg::detail {
 
-/// SELL-C-σ-style batched execution of the window sweep.
+/// SELL-C-style batched execution of the window sweep (SELL-C-σ with no
+/// σ-sort: the rows are already globally sorted).
 ///
 /// The scalar sweep (`window_sweep_resume`) interleaves three kinds of work
 /// per observation and bandwidth: the two-pointer walks (branchy, data
@@ -42,10 +43,11 @@ namespace kreg::detail {
 ///            (h, 1/h and its powers) hoisted out — computed once per
 ///            batch instead of once per observation.
 ///
-/// σ-sorting batches by admission-window length (see core/batched_sweep.hpp)
-/// keeps the lanes of one batch doing similar numbers of phase-2 steps, so
-/// the zero-padded tail work stays small — and on the simulated device the
-/// same grouping is what keeps a warp's windows coherent.
+/// A batch holds C consecutive rows of the globally sorted array (see
+/// core/batched_sweep.hpp), so its lanes' windows overlap and slide
+/// together: phase-2 step counts are similar (small zero-padded tails), the
+/// contiguous-run fast path fires, and on the simulated device the same
+/// grouping keeps a warp's windows coherent.
 ///
 /// **Bitwise parity.** Each lane's floating-point operation sequence is
 /// exactly the scalar sweep's for that observation: admissions happen in
@@ -157,25 +159,22 @@ inline void batch_store(const LaneBatch<Scalar, C>& st, LoView lo_all,
 /// index b in ascending order. Per lane this performs bit-for-bit the
 /// operations of `window_sweep_resume` on that lane's observation.
 ///
-/// `prefetch` (> 0) issues software prefetches for the admission lines
-/// `prefetch` steps ahead of the current one; `stats`, when non-null,
-/// counts the phase-2 steps served by the contiguous-run transpose fast
-/// path versus per-lane gathers (see batched_lanes_contig.hpp). Both are
-/// observational: values and profiles are bitwise identical for every
-/// setting.
+/// `stats`, when non-null, counts the phase-2 steps served by the
+/// contiguous-run transpose fast path versus per-lane gathers (see
+/// batched_lanes_contig.hpp). It is observational: values and profiles are
+/// bitwise identical with or without it.
 template <class Scalar, std::size_t C, class HView, class WriteResid>
 inline void batch_resume(LaneBatch<Scalar, C>& st,
                          std::span<const Scalar> xs_sorted,
                          std::span<const Scalar> ys_sorted, HView hs,
                          const SweepPolynomial& poly, WriteResid&& write,
-                         std::size_t prefetch = 0,
                          BatchRunStats* stats = nullptr) {
 #if KREG_HAVE_BATCHED_AVX512
   // Hand-vectorized fast path for the zmm-width double batches; produces
   // bit-identical profiles (see batched_lanes_avx512.hpp for the argument).
   if constexpr (std::is_same_v<Scalar, double> && (C == 8 || C == 16)) {
     if (batch_resume_avx512(st, xs_sorted, ys_sorted, hs, poly, write,
-                            prefetch, stats)) {
+                            stats)) {
       return;
     }
   }
@@ -257,22 +256,6 @@ inline void batch_resume(LaneBatch<Scalar, C>& st,
         stats->gather_steps += max_cnt - run.steps;
       }
       for (std::size_t s = 0; s < max_cnt; ++s) {
-        if (prefetch != 0 && run.any) {
-          // The run's extreme bases slide linearly with s, so the span's
-          // frontier `prefetch` steps ahead is its two endpoint lines.
-          const auto d = static_cast<std::int64_t>(s + prefetch);
-          const std::int64_t pmin = left ? run.min_base - d : run.min_base + d;
-          const std::int64_t pmax = left ? run.max_base - d : run.max_base + d;
-          if (pmin >= 0 && pmin < static_cast<std::int64_t>(n)) {
-            __builtin_prefetch(xs + pmin);
-            __builtin_prefetch(ys + pmin);
-          }
-          if (pmax != pmin && pmax >= 0 &&
-              pmax < static_cast<std::int64_t>(n)) {
-            __builtin_prefetch(xs + pmax);
-            __builtin_prefetch(ys + pmax);
-          }
-        }
         if (s < run.steps) {
           contig_load_transpose<Scalar, C>(
               xs, ys,
@@ -360,21 +343,19 @@ inline void batch_resume(LaneBatch<Scalar, C>& st,
 /// Dispatches a runtime lane width onto the compile-time LaneBatch
 /// instantiations: f receives std::integral_constant<std::size_t, C>.
 /// Supported widths are 1 (degenerate single-lane batch, the parity
-/// anchor) and the vector-friendly 4 / 8 / 16.
+/// anchor) and the vector widths 8 / 16.
 template <class F>
 decltype(auto) with_lane_width(std::size_t lane_width, F&& f) {
   switch (lane_width) {
     case 1:
       return f(std::integral_constant<std::size_t, 1>{});
-    case 4:
-      return f(std::integral_constant<std::size_t, 4>{});
     case 8:
       return f(std::integral_constant<std::size_t, 8>{});
     case 16:
       return f(std::integral_constant<std::size_t, 16>{});
     default:
       throw std::invalid_argument(
-          "lane_width must be 1, 4, 8, or 16 (got " +
+          "lane_width must be 1, 8, or 16 (got " +
           std::to_string(lane_width) + ")");
   }
 }

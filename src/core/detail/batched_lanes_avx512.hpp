@@ -19,7 +19,8 @@
 //     that ran out of admissions, the same ±0.0-padding discipline the
 //     generic path uses;
 //   - contiguous runs — all of a group's step-0 bases inside one
-//     16-double window, the common case under the σ position-sort — swap
+//     16-double window, the common case because batches are consecutive
+//     rows of the sorted array — swap
 //     the gather for two full-width loads + a masked two-register permute
 //     (vpermt2pd) selecting the very same elements with the very same
 //     masked zeros, so consumed values are unchanged bit for bit; runs
@@ -124,7 +125,6 @@ inline void batch_resume_avx512_impl(LaneBatch<double, 8 * V>& st,
                                      std::span<const double> ys_sorted,
                                      HView hs, const SweepPolynomial& poly,
                                      WriteResid&& write,
-                                     std::size_t prefetch,
                                      BatchRunStats* stats) {
   constexpr std::size_t C = 8 * V;
   const std::size_t n = xs_sorted.size();
@@ -235,28 +235,6 @@ inline void batch_resume_avx512_impl(LaneBatch<double, 8 * V>& st,
             xv = _mm512_mask_i64gather_pd(zero, act, vidx, xs, 8);
             yv = _mm512_mask_i64gather_pd(zero, act, vidx, ys, 8);
           }
-          if (prefetch != 0) {
-            // The run's extreme bases slide linearly with s, so the
-            // frontier `prefetch` steps ahead is the two endpoint lines.
-            const auto d = static_cast<std::int64_t>(s + prefetch);
-            const std::int64_t pmin =
-                left ? run.min_base - d : run.min_base + d;
-            const std::int64_t pmax =
-                left ? run.max_base - d : run.max_base + d;
-            if (pmin >= 0 && pmin < static_cast<std::int64_t>(n)) {
-              _mm_prefetch(reinterpret_cast<const char*>(xs + pmin),
-                           _MM_HINT_T0);
-              _mm_prefetch(reinterpret_cast<const char*>(ys + pmin),
-                           _MM_HINT_T0);
-            }
-            if (pmax != pmin && pmax >= 0 &&
-                pmax < static_cast<std::int64_t>(n)) {
-              _mm_prefetch(reinterpret_cast<const char*>(xs + pmax),
-                           _MM_HINT_T0);
-              _mm_prefetch(reinterpret_cast<const char*>(ys + pmax),
-                           _MM_HINT_T0);
-            }
-          }
           const __m512d dv = _mm512_and_pd(absmask, _mm512_sub_pd(xi[v], xv));
           __m512d pw = _mm512_mask_blend_pd(act, zero, one);
           vs = _mm512_add_epi64(vs, onei);
@@ -334,38 +312,37 @@ inline bool batch_resume_avx512(LaneBatch<double, C>& st,
                                 std::span<const double> xs_sorted,
                                 std::span<const double> ys_sorted, HView hs,
                                 const SweepPolynomial& poly,
-                                WriteResid&& write, std::size_t prefetch,
-                                BatchRunStats* stats) {
+                                WriteResid&& write, BatchRunStats* stats) {
   static_assert(C % 8 == 0);
   constexpr std::size_t V = C / 8;
   switch (poly.max_power + 1) {
     case 1:
       batch_resume_avx512_impl<1, V>(st, xs_sorted, ys_sorted, hs, poly,
-                                     write, prefetch, stats);
+                                     write, stats);
       return true;
     case 2:
       batch_resume_avx512_impl<2, V>(st, xs_sorted, ys_sorted, hs, poly,
-                                     write, prefetch, stats);
+                                     write, stats);
       return true;
     case 3:
       batch_resume_avx512_impl<3, V>(st, xs_sorted, ys_sorted, hs, poly,
-                                     write, prefetch, stats);
+                                     write, stats);
       return true;
     case 4:
       batch_resume_avx512_impl<4, V>(st, xs_sorted, ys_sorted, hs, poly,
-                                     write, prefetch, stats);
+                                     write, stats);
       return true;
     case 5:
       batch_resume_avx512_impl<5, V>(st, xs_sorted, ys_sorted, hs, poly,
-                                     write, prefetch, stats);
+                                     write, stats);
       return true;
     case 6:
       batch_resume_avx512_impl<6, V>(st, xs_sorted, ys_sorted, hs, poly,
-                                     write, prefetch, stats);
+                                     write, stats);
       return true;
     case 7:
       batch_resume_avx512_impl<7, V>(st, xs_sorted, ys_sorted, hs, poly,
-                                     write, prefetch, stats);
+                                     write, stats);
       return true;
     default:
       return false;

@@ -15,10 +15,9 @@
 // in-register transpose with **bit-identical** results, because the
 // transposed element xs[(min_base ∓ s) + (base_l − min_base)] is exactly
 // the gathered element xs[base_l ∓ s], and inactive lanes are zeroed by
-// the same mask either way. The σ position-sort (core/batched_sweep.hpp,
-// SigmaPolicy::kPositionLength) exists to make this span small: lanes
-// grouped by window position have nearby bases, so the run detector fires
-// on most batches instead of almost never.
+// the same mask either way. Batches hold consecutive rows of the sorted
+// array (core/batched_sweep.hpp), so neighbouring lanes have nearby window
+// bases and the run detector fires on almost every step.
 //
 // Detection runs once per phase, not per step; the only per-step concern
 // is staying inside [0, n) for the full-width block read, handled by
@@ -35,14 +34,12 @@ namespace kreg::detail {
 /// AVX-512 two-register transpose (vpermt2pd over 2×8 doubles).
 inline constexpr std::size_t kContigBlockWidth = 16;
 
-/// One phase's detected run: `any` says some lane admits this phase;
-/// `min_base`/`max_base` bound the active lanes' bases (valid only when
-/// `any`); `steps` is the bounds-safe contiguous step count (0 when the
-/// span is too wide or the block read would leave [0, n)).
+/// One phase's detected run: `steps` is the bounds-safe contiguous step
+/// count (0 when no lane admits, the span is too wide, or the block read
+/// would leave [0, n)); `min_base` is the smallest active lane base (valid
+/// only when steps > 0).
 struct ContigRun {
-  bool any = false;
   std::int64_t min_base = 0;
-  std::int64_t max_base = 0;
   std::size_t steps = 0;
 };
 
@@ -57,25 +54,27 @@ inline ContigRun detect_contig_run(const std::int64_t* cnt,
                                    std::size_t lanes, std::size_t max_cnt,
                                    std::size_t n, bool left) {
   ContigRun run;
+  bool any = false;
+  std::int64_t max_base = 0;
   for (std::size_t l = 0; l < lanes; ++l) {
     if (cnt[l] <= 0) {
       continue;
     }
-    if (!run.any) {
+    if (!any) {
       run.min_base = base[l];
-      run.max_base = base[l];
-      run.any = true;
+      max_base = base[l];
+      any = true;
     } else {
       run.min_base = base[l] < run.min_base ? base[l] : run.min_base;
-      run.max_base = base[l] > run.max_base ? base[l] : run.max_base;
+      max_base = base[l] > max_base ? base[l] : max_base;
     }
   }
-  if (!run.any || max_cnt == 0) {
+  if (!any || max_cnt == 0) {
     return run;
   }
   const auto width = static_cast<std::int64_t>(kContigBlockWidth);
   const auto ni = static_cast<std::int64_t>(n);
-  if (run.max_base - run.min_base >= width) {
+  if (max_base - run.min_base >= width) {
     return run;
   }
   if (run.min_base < 0 || run.min_base + width > ni) {

@@ -66,7 +66,7 @@ void validate_job(const SelectionJob& job) {
                                   "' is not supported by the window sweep");
     }
   }
-  resolve_lane_width(job.lane_width);  // throws on anything but 0/1/4/8/16
+  resolve_lane_width(job.lane_width);  // throws on anything but 0/1/8/16
 }
 
 SelectionProfile profile_from_scores(const SelectionJob& job,
@@ -138,7 +138,6 @@ std::vector<double> run_nw(const SelectionJob& job, const JobContext& ctx) {
       config.precision = job.precision;
       config.stream = job.stream;
       config.lane_width = job.lane_width;
-      config.sigma = job.sigma;
       const SpmdGridSelector selector(require_device(ctx), config);
       SelectionResult result = selector.select(
           *job.data, BandwidthGrid::from_values(job.bandwidth_grid));

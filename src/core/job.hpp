@@ -66,9 +66,8 @@ struct SelectionJob {
   /// Host tiling for kHostTiled (0 = auto; auto sizes are fixed
   /// constants, not pool-derived, so the default stays deterministic).
   HostTiling tiling;
-  /// Device lane batching (NW only): 0 = auto, 1 scalar, 4/8/16 batched.
+  /// Device lane batching (NW only): 0 = auto, 1 scalar, 8/16 batched.
   std::size_t lane_width = 0;
-  SigmaPolicy sigma = SigmaPolicy::kPositionLength;
 
   /// Grid length for this job's estimator.
   std::size_t grid_size() const noexcept {

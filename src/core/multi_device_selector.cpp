@@ -1,6 +1,5 @@
 #include "core/multi_device_selector.hpp"
 
-#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -26,8 +25,6 @@ MultiDeviceGridSelector::MultiDeviceGridSelector(
     }
   }
   (void)resolve_lane_width(config_.lane_width);  // reject bad widths early
-  config_.prefetch_distance =
-      resolve_prefetch_distance(config_.prefetch_distance);
 }
 
 std::size_t MultiDeviceGridSelector::estimated_bytes_per_device(
@@ -111,13 +108,7 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
     const std::span<const Scalar> xs_host(host_x);
     const std::span<const Scalar> ys_host(host_y);
     const Scalar reach = host_grid.back();  // widest admission: h_max
-    // Lane batching: the σ-sort key is a global property of the sorted
-    // array, so one pass serves every device's slice.
     const std::size_t lane_width = resolve_lane_width(config.lane_width);
-    AdmissionWindows win;
-    if (lane_width > 1) {
-      win = admission_windows<Scalar>(xs_host, reach);
-    }
     for (std::size_t d = 0; d < slices.size(); ++d) {
       spmd::Device& device = *devices[d];
       const parallel::BlockedRange slice = slices[d];
@@ -198,14 +189,6 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
           const spmd::LaunchConfig cfg = spmd::LaunchConfig::cover(nb, tpb);
           const std::size_t rel0 = base + n0 - slab_begin;
 
-          std::vector<std::uint32_t> tile_order;
-          if (lane_width > 1) {
-            tile_order = sigma_batch_order(
-                win.length, win.lo, base + n0, base + n0 + nb, tpb,
-                config.sigma, sigma_position_bucket(sizeof(Scalar)));
-          }
-          const std::span<const std::uint32_t> order_s(tile_order);
-
           for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
             const std::size_t kb = std::min(plan.k_block, k - b0);
             const std::vector<Scalar> host_block(host_grid.begin() + b0,
@@ -218,8 +201,7 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
 
             if (lane_width > 1) {
               // Batched fast path over slab-relative positions; carry and
-              // residuals keyed by the observation's tile-relative index,
-              // so the σ permutation never changes what any cell holds.
+              // residuals keyed by the observation's tile-relative index.
               detail::with_lane_width(lane_width, [&](auto width_c) {
                 constexpr std::size_t C = decltype(width_c)::value;
                 device.launch_lanes("cv_sweep_slice_tile", cfg, C,
@@ -230,7 +212,7 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
                   for (std::size_t l = 0; l < t.lanes; ++l) {
                     const std::size_t r = t.global_base() + l;
                     if (r < nb) {
-                      st.pos[st.lanes++] = rel0 + order_s[r];
+                      st.pos[st.lanes++] = rel0 + r;
                     }
                   }
                   if (st.lanes == 0) {
@@ -250,8 +232,7 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
                       [&](std::size_t b, std::size_t l, Scalar sq) {
                         const std::size_t q = st.pos[l] - rel0;
                         resid_all[b * nb + q] = sq;
-                      },
-                      config.prefetch_distance);
+                      });
                   detail::batch_store(st, lo_all, hi_all, sm_all, tm_all,
                                       terms, key);
                 });
@@ -353,14 +334,6 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
 
       const spmd::LaunchConfig cfg = spmd::LaunchConfig::cover(rows, tpb);
 
-      std::vector<std::uint32_t> slice_order;
-      if (lane_width > 1) {
-        slice_order = sigma_batch_order(
-            win.length, win.lo, base, base + rows, tpb, config.sigma,
-            sigma_position_bucket(sizeof(Scalar)));
-      }
-      const std::span<const std::uint32_t> order_s(slice_order);
-
       for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
         const std::size_t kb = std::min(plan.k_block, k - b0);
         const std::vector<Scalar> host_block(host_grid.begin() + b0,
@@ -372,8 +345,7 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
 
         if (lane_width > 1) {
           // Batched fast path: carry and residuals keyed by the
-          // observation's slice-relative index, so the σ permutation never
-          // changes what any cell holds.
+          // observation's slice-relative index.
           detail::with_lane_width(lane_width, [&](auto width_c) {
             constexpr std::size_t C = decltype(width_c)::value;
             device.launch_lanes("cv_sweep_slice_kblock", cfg, C,
@@ -384,7 +356,7 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
               for (std::size_t l = 0; l < t.lanes; ++l) {
                 const std::size_t r = t.global_base() + l;
                 if (r < rows) {
-                  st.pos[st.lanes++] = base + order_s[r];
+                  st.pos[st.lanes++] = base + r;
                 }
               }
               if (st.lanes == 0) {
@@ -404,8 +376,7 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
                   [&](std::size_t b, std::size_t l, Scalar sq) {
                     const std::size_t q = st.pos[l] - base;
                     resid_all[b * rows + q] = sq;
-                  },
-                  config.prefetch_distance);
+                  });
               detail::batch_store(st, lo_all, hi_all, sm_all, tm_all, terms,
                                   key);
             });
@@ -614,12 +585,6 @@ std::string MultiDeviceGridSelector::name() const {
     const std::size_t lanes = resolve_lane_width(config_.lane_width);
     if (lanes > 1) {
       n += ",lanes=" + std::to_string(lanes);
-      if (config_.sigma != SigmaPolicy::kNone) {
-        n += ",sigma=" + std::string(to_string(config_.sigma));
-      }
-      if (config_.prefetch_distance != 0) {
-        n += ",prefetch=" + std::to_string(config_.prefetch_distance);
-      }
     }
   }
   n += ")";

@@ -1,6 +1,5 @@
 #include "core/spmd_selector.hpp"
 
-#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -31,8 +30,6 @@ SpmdGridSelector::SpmdGridSelector(spmd::Device& device,
     throw std::invalid_argument("SpmdGridSelector: threads_per_block == 0");
   }
   (void)resolve_lane_width(config_.lane_width);  // reject bad widths early
-  config_.prefetch_distance =
-      resolve_prefetch_distance(config_.prefetch_distance);
 }
 
 std::size_t SpmdGridSelector::estimated_bytes(std::size_t n, std::size_t k,
@@ -69,21 +66,6 @@ std::size_t SpmdGridSelector::estimated_streamed_bytes(std::size_t n,
 }
 
 namespace {
-
-/// The σ-order for a lane-batched window launch: host-side launch metadata
-/// mapping each launch row of [begin, end) to the sorted-array observation
-/// (relative to begin) its lane sweeps. σ-scopes align with the launch
-/// blocks (scope = threads_per_block), so the permutation never crosses a
-/// block boundary — lanes of one dispatch always come from one block.
-template <class Scalar>
-std::vector<std::uint32_t> sigma_launch_order(std::span<const Scalar> host_x,
-                                              Scalar reach, std::size_t begin,
-                                              std::size_t end, std::size_t tpb,
-                                              SigmaPolicy policy) {
-  const AdmissionWindows win = admission_windows<Scalar>(host_x, reach);
-  return sigma_batch_order(win.length, win.lo, begin, end, tpb, policy,
-                           sigma_position_bucket(sizeof(Scalar)));
-}
 
 /// Single-block cooperative sum over values[j * stride + offset] for
 /// j < count: the observation-major score reduction, shared by the resident
@@ -171,16 +153,7 @@ SelectionResult run_streamed_window_selection(
   const std::size_t block_dim =
       spmd::detail::reduction_block_dim(device, tpb);
 
-  // Lane batching: σ-order computed once (the windows only grow, so the
-  // h_max key is valid for every k-block) and captured as launch metadata.
   const std::size_t lane_width = resolve_lane_width(config.lane_width);
-  std::vector<std::uint32_t> order;
-  if (lane_width > 1) {
-    order = sigma_launch_order<Scalar>(std::span<const Scalar>(host_x),
-                                       host_grid.back(), 0, n, tpb,
-                                       config.sigma);
-  }
-  const std::span<const std::uint32_t> order_s(order);
 
   std::vector<double> cv(k);
   std::size_t best_index = 0;
@@ -208,7 +181,7 @@ SelectionResult run_streamed_window_selection(
           for (std::size_t l = 0; l < t.lanes; ++l) {
             const std::size_t j = t.global_base() + l;
             if (j < n) {
-              st.pos[st.lanes++] = order_s[j];
+              st.pos[st.lanes++] = j;
             }
           }
           if (st.lanes == 0) {
@@ -225,7 +198,7 @@ SelectionResult run_streamed_window_selection(
                                [&](std::size_t b, std::size_t l, Scalar sq) {
             const std::size_t j = st.pos[l];
             resid_all[bandwidth_major ? b * n + j : j * kb + b] = sq;
-          }, config.prefetch_distance);
+          });
           detail::batch_store(st, lo_all, hi_all, sm_all, tm_all, terms, key);
         });
       });
@@ -338,14 +311,7 @@ SelectionResult run_streamed_2d_window_selection(
   }
   spmd::MemView<Scalar> lanes = d_lanes.view();
 
-  // Lane batching: the σ-sort key (admission-window length at h_max) is a
-  // global property of the sorted array, so it is computed once and each
-  // n-block's launch rows are permuted within their launch-block scopes.
   const std::size_t lane_width = resolve_lane_width(config.lane_width);
-  AdmissionWindows win;
-  if (lane_width > 1) {
-    win = admission_windows<Scalar>(host_xs, reach);
-  }
 
   for (std::size_t n0 = 0; n0 < n; n0 += plan.n_block) {
     const std::size_t nb = std::min(plan.n_block, n - n0);
@@ -384,14 +350,6 @@ SelectionResult run_streamed_2d_window_selection(
     const spmd::LaunchConfig main_cfg = spmd::LaunchConfig::cover(nb, tpb);
     const std::size_t rel0 = n0 - slab_begin;  // block's first slab index
 
-    std::vector<std::uint32_t> tile_order;
-    if (lane_width > 1) {
-      tile_order =
-          sigma_batch_order(win.length, win.lo, n0, n0 + nb, tpb,
-                            config.sigma, sigma_position_bucket(sizeof(Scalar)));
-    }
-    const std::span<const std::uint32_t> order_s(tile_order);
-
     for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
       const std::size_t kb = std::min(plan.k_block, k - b0);
       const std::vector<Scalar> host_block(host_grid.begin() + b0,
@@ -403,8 +361,7 @@ SelectionResult run_streamed_2d_window_selection(
 
       if (lane_width > 1) {
         // Batched fast path over slab-relative positions; carry and
-        // residuals keyed by the observation's block-relative index, so
-        // the σ permutation never changes what any cell holds.
+        // residuals keyed by the observation's block-relative index.
         detail::with_lane_width(lane_width, [&](auto width_c) {
           constexpr std::size_t C = decltype(width_c)::value;
           device.launch_lanes("cv_sweep_tile", main_cfg, C,
@@ -415,7 +372,7 @@ SelectionResult run_streamed_2d_window_selection(
             for (std::size_t l = 0; l < t.lanes; ++l) {
               const std::size_t r = t.global_base() + l;
               if (r < nb) {
-                st.pos[st.lanes++] = rel0 + order_s[r];
+                st.pos[st.lanes++] = rel0 + r;
               }
             }
             if (st.lanes == 0) {
@@ -435,8 +392,7 @@ SelectionResult run_streamed_2d_window_selection(
                 [&](std::size_t b, std::size_t l, Scalar sq) {
                   const std::size_t q = st.pos[l] - rel0;
                   resid_all[bandwidth_major ? b * nb + q : q * kb + b] = sq;
-                },
-                config.prefetch_distance);
+                });
             detail::batch_store(st, lo_all, hi_all, sm_all, tm_all, terms,
                                 key);
           });
@@ -667,14 +623,10 @@ SelectionResult run_device_selection(spmd::Device& device,
   const std::size_t lane_width =
       window ? resolve_lane_width(config.lane_width) : 1;
   if (window && lane_width > 1) {
-    // Batched fast path (the default): each dispatch sweeps C σ-sorted
+    // Batched fast path (the default): each dispatch sweeps C consecutive
     // observations in lockstep SoA lanes. Residuals stay keyed by
     // observation, so the matrix — and every reduction after it — is
     // bitwise identical to the scalar kernel's.
-    const std::vector<std::uint32_t> order = sigma_launch_order<Scalar>(
-        std::span<const Scalar>(host_x), host_grid.back(), 0, n, tpb,
-        config.sigma);
-    const std::span<const std::uint32_t> order_s(order);
     detail::with_lane_width(lane_width, [&](auto width_c) {
       constexpr std::size_t C = decltype(width_c)::value;
       device.launch_lanes("cv_sweep", main_cfg, C,
@@ -684,7 +636,7 @@ SelectionResult run_device_selection(spmd::Device& device,
         for (std::size_t l = 0; l < t.lanes; ++l) {
           const std::size_t j = t.global_base() + l;
           if (j < n) {
-            st.pos[st.lanes++] = order_s[j];
+            st.pos[st.lanes++] = j;
           }
         }
         if (st.lanes == 0) {
@@ -695,7 +647,7 @@ SelectionResult run_device_selection(spmd::Device& device,
                              [&](std::size_t b, std::size_t l, Scalar sq) {
           const std::size_t j = st.pos[l];
           resid_all[bandwidth_major ? b * n + j : j * k + b] = sq;
-        }, config.prefetch_distance);
+        });
       });
     });
   } else {
@@ -835,12 +787,6 @@ std::string SpmdGridSelector::name() const {
     const std::size_t lanes = resolve_lane_width(config_.lane_width);
     if (lanes > 1) {
       n += ",lanes=" + std::to_string(lanes);
-      if (config_.sigma != SigmaPolicy::kNone) {
-        n += ",sigma=" + std::string(to_string(config_.sigma));
-      }
-      if (config_.prefetch_distance != 0) {
-        n += ",prefetch=" + std::to_string(config_.prefetch_distance);
-      }
     }
   }
   n += ")";

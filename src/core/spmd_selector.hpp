@@ -61,25 +61,13 @@ struct SpmdSelectorConfig {
   StreamingConfig stream;
   /// Lane-batched execution of the window kernels (see
   /// core/detail/batched_lanes.hpp): each device dispatch steps a group of
-  /// `lane_width` threads in lockstep over σ-sorted observations — the
-  /// batch interpretation of SIMT execution. 0 = auto
+  /// `lane_width` threads in lockstep over consecutive sorted observations
+  /// — the batch interpretation of SIMT execution. 0 = auto
   /// (kreg::kDefaultLaneWidth); 1 = the legacy one-thread-at-a-time scalar
-  /// kernels; 4/8/16 = batched. Residuals and carried window state stay
+  /// kernels; 8/16 = batched. Residuals and carried window state stay
   /// keyed by observation, so every lane width is bitwise identical to the
   /// scalar kernels. Window algorithm only.
   std::size_t lane_width = 0;
-  /// σ-sort each launch block's observations before grouping into lanes
-  /// (see kreg::SigmaPolicy): kLength groups similar admission-window
-  /// lengths (coherent simulated warps), kPositionLength additionally
-  /// groups nearby window positions so a dispatch's lanes read overlapping
-  /// index ranges (cache-resident gathers, contiguous-run fast path). Pure
-  /// scheduling permutation: profiles are bitwise identical for every
-  /// policy. Ignored when lane_width resolves to 1.
-  SigmaPolicy sigma = SigmaPolicy::kPositionLength;
-  /// Software-prefetch distance for the batched lane-resume inner loops,
-  /// in phase-2 steps ahead. 0 = off; kPrefetchFromEnv (the default)
-  /// reads KREG_PREFETCH_DIST. Resolved (and validated) at construction.
-  std::size_t prefetch_distance = kPrefetchFromEnv;
 };
 
 /// **Program 4** — "CUDA on GPU": the paper's parallel grid search on the

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <exception>
 #include <mutex>
@@ -38,6 +38,34 @@ class ExceptionCollector {
   std::exception_ptr first_;
 };
 
+/// Counts outstanding pool tasks; the caller blocks in wait() until every
+/// task has called arrive(). The decrement and the notify both happen
+/// under the mutex, so once wait() has seen zero no task touches the latch
+/// again and it may live on the caller's stack. A decrement outside the
+/// lock would let the caller observe zero, return and destroy the mutex
+/// while the last task was still about to lock it.
+class Latch {
+ public:
+  explicit Latch(std::size_t count) : count_(count) {}
+
+  void arrive() {
+    std::lock_guard lock(mutex_);
+    if (--count_ == 0) {
+      done_.notify_all();
+    }
+  }
+
+  void wait() {
+    std::unique_lock lock(mutex_);
+    done_.wait(lock, [this] { return count_ == 0; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable done_;
+  std::size_t count_;
+};
+
 }  // namespace detail
 
 /// Runs body(i) for every i in [0, n) across the pool.
@@ -68,10 +96,11 @@ void parallel_for(std::size_t n, Body&& body, ThreadPool* pool = nullptr,
     return;
   }
 
+  const std::vector<BlockedRange> ranges =
+      schedule == Schedule::kStatic ? partition_evenly(n, workers)
+                                    : partition_chunks(n, chunk);
   detail::ExceptionCollector errors;
-  std::atomic<std::size_t> pending{0};
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
+  detail::Latch latch(ranges.size());
 
   auto run_range = [&](BlockedRange range) {
     try {
@@ -81,28 +110,13 @@ void parallel_for(std::size_t n, Body&& body, ThreadPool* pool = nullptr,
     } catch (...) {
       errors.capture();
     }
-    if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard lock(done_mutex);
-      done_cv.notify_all();
-    }
+    latch.arrive();
   };
 
-  std::vector<BlockedRange> ranges;
-  if (schedule == Schedule::kStatic) {
-    ranges = partition_evenly(n, workers);
-  } else {
-    ranges = partition_chunks(n, chunk);
-  }
-  pending.store(ranges.size(), std::memory_order_relaxed);
   for (const BlockedRange& range : ranges) {
     pool->submit([run_range, range] { run_range(range); });
   }
-  {
-    std::unique_lock lock(done_mutex);
-    done_cv.wait(lock, [&] {
-      return pending.load(std::memory_order_acquire) == 0;
-    });
-  }
+  latch.wait();
   errors.rethrow_if_any();
 }
 
@@ -136,9 +150,7 @@ T parallel_reduce(std::size_t n, T init, Body&& body, Combine&& combine,
   const std::vector<BlockedRange> ranges = partition_evenly(n, workers);
   std::vector<T> partials(ranges.size(), init);
   detail::ExceptionCollector errors;
-  std::atomic<std::size_t> pending{ranges.size()};
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
+  detail::Latch latch(ranges.size());
 
   for (std::size_t r = 0; r < ranges.size(); ++r) {
     pool->submit([&, r] {
@@ -151,18 +163,10 @@ T parallel_reduce(std::size_t n, T init, Body&& body, Combine&& combine,
       } catch (...) {
         errors.capture();
       }
-      if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(done_mutex);
-        done_cv.notify_all();
-      }
+      latch.arrive();
     });
   }
-  {
-    std::unique_lock lock(done_mutex);
-    done_cv.wait(lock, [&] {
-      return pending.load(std::memory_order_acquire) == 0;
-    });
-  }
+  latch.wait();
   errors.rethrow_if_any();
 
   T acc = init;

@@ -7,8 +7,7 @@
 namespace kreg::serve {
 
 /// Sentinel: "the knob was not given on the command line — consult the
-/// environment, then fall back to the default". Mirrors the
-/// kPrefetchFromEnv idiom (core/batched_sweep.hpp).
+/// environment, then fall back to the default".
 inline constexpr std::size_t kServeFromEnv = static_cast<std::size_t>(-1);
 
 /// Upper bound on scheduler worker threads. Generous for any realistic
@@ -25,8 +24,7 @@ inline constexpr std::size_t kDefaultCacheBudgetBytes = std::size_t{64}
 /// Strict worker-count parser: digits only (no sign, no whitespace, no
 /// suffix), value in [1, kMaxServeWorkers]. Throws std::invalid_argument
 /// on empty input, non-digit characters, zero, overflow, or a count above
-/// the bound — the same reject-don't-guess posture as
-/// parse_prefetch_distance.
+/// the bound — reject, don't guess.
 std::size_t parse_worker_count(std::string_view text);
 
 /// Worker count from an explicit value or the environment:

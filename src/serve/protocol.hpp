@@ -20,7 +20,7 @@ namespace kreg::serve {
 ///   shutdown
 ///   select [estimator=nw|knn|oscv] [kernel=<name>] [precision=float|double]
 ///          [dgp=<name>] [n=<count>] [seed=<u64>] [grid=<lo>:<hi>:<count>]
-///          [backend=host|tiled|device] [lane=<0|1|4|8|16>]
+///          [backend=host|tiled|device] [lane=<0|1|8|16>]
 ///          [budget=<bytes-with-suffix>]
 ///
 /// Responses: "ok ..." or "error <message>".

@@ -49,23 +49,26 @@ Reservation plan_reservation(SelectionJob job, std::size_t share,
 
 /// Two device jobs may share one launch exactly when merging their grids
 /// provably cannot change either job's bits: same dataset handle, same
-/// estimator/kernel/precision, the same lane-batching knobs (keeping the
-/// merged launch's reservation model exact), and — the load-bearing part —
-/// an estimator whose per-grid-point score is independent of the rest of
-/// the grid. The k-NN and OSCV device folds are bitwise invariant under
-/// grid composition (each point's fold runs in the same ascending
-/// observation order regardless of its neighbours), but the NW device
-/// sweep's σ-sorted lane batching composes lanes across the whole h-grid,
-/// so merging grids perturbs its last-ulp bits. NW jobs therefore never
-/// grid-merge; identical NW jobs still coalesce onto one launch via their
-/// shared cache key.
+/// estimator/kernel/precision, the same lane width (keeping the merged
+/// launch's reservation model exact), and — the load-bearing part — an
+/// estimator whose per-grid-point score is independent of the rest of the
+/// grid. The k-NN and OSCV device folds are bitwise invariant under grid
+/// composition (each point's fold runs in the same ascending observation
+/// order regardless of its neighbours). The NW window sweep is not: at
+/// each grid point `window_sweep_resume` admits the newly covered elements
+/// left side first, then right side, into one shared S_m/T_m pair, so an
+/// extra grid point in between splits one left-then-right run into two
+/// and reorders the floating-point additions. Merging grids therefore
+/// perturbs NW bits at the shared points, so NW jobs never grid-merge;
+/// identical NW jobs still coalesce onto one launch via their shared cache
+/// key.
 bool co_schedulable(const SelectionJob& lhs, const SelectionJob& rhs) {
   return lhs.backend == JobBackend::kDevice &&
          rhs.backend == JobBackend::kDevice &&
          lhs.estimator != EstimatorKind::kNadarayaWatson &&
          lhs.data == rhs.data && lhs.estimator == rhs.estimator &&
          lhs.kernel == rhs.kernel && lhs.precision == rhs.precision &&
-         lhs.lane_width == rhs.lane_width && lhs.sigma == rhs.sigma;
+         lhs.lane_width == rhs.lane_width;
 }
 
 template <class T>

@@ -1,14 +1,13 @@
-// Tests for the batched (SELL-C-σ-style) window-sweep execution layer:
-// the σ-sort key and batch ordering, lane-width resolution, bitwise parity
-// of the batched host profile with the scalar resident/tiled sweeps across
-// lane widths, σ on/off, ragged tails, precisions, and streaming tilings —
-// and the batched device kernels against the scalar device baseline.
+// Tests for the batched (SELL-C-style) window-sweep execution layer:
+// admission-window lengths, lane-width resolution, bitwise parity of the
+// batched host profile with the scalar resident/tiled sweeps across lane
+// widths, ragged tails, precisions, and streaming tilings — and the batched
+// device kernels against the scalar device baseline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "core/batched_sweep.hpp"
@@ -31,7 +30,6 @@ using kreg::Precision;
 using kreg::ResidualLayout;
 using kreg::BatchRunStats;
 using kreg::SelectionResult;
-using kreg::SigmaPolicy;
 using kreg::SpmdGridSelector;
 using kreg::SpmdSelectorConfig;
 using kreg::data::Dataset;
@@ -42,9 +40,6 @@ Dataset paper_data(std::size_t n, std::uint64_t seed) {
   Stream s(seed);
   return kreg::data::paper_dgp(n, s);
 }
-
-constexpr SigmaPolicy kAllPolicies[] = {
-    SigmaPolicy::kNone, SigmaPolicy::kLength, SigmaPolicy::kPositionLength};
 
 std::vector<double> test_grid(std::size_t k = 24) {
   return BandwidthGrid(0.05, 1.2, k).values();
@@ -63,7 +58,6 @@ void expect_bitwise_profiles(const std::vector<double>& got,
 TEST(ResolveLaneWidth, ZeroSelectsDefaultAndValidWidthsPass) {
   EXPECT_EQ(kreg::resolve_lane_width(0), kreg::kDefaultLaneWidth);
   EXPECT_EQ(kreg::resolve_lane_width(1), 1u);
-  EXPECT_EQ(kreg::resolve_lane_width(4), 4u);
   EXPECT_EQ(kreg::resolve_lane_width(8), 8u);
   EXPECT_EQ(kreg::resolve_lane_width(16), 16u);
 }
@@ -71,18 +65,19 @@ TEST(ResolveLaneWidth, ZeroSelectsDefaultAndValidWidthsPass) {
 TEST(ResolveLaneWidth, RejectsUnsupportedWidths) {
   EXPECT_THROW(kreg::resolve_lane_width(2), std::invalid_argument);
   EXPECT_THROW(kreg::resolve_lane_width(3), std::invalid_argument);
+  EXPECT_THROW(kreg::resolve_lane_width(4), std::invalid_argument);
   EXPECT_THROW(kreg::resolve_lane_width(5), std::invalid_argument);
   EXPECT_THROW(kreg::resolve_lane_width(32), std::invalid_argument);
 }
 
-// --- admission_window_lengths ----------------------------------------------
+// --- admission_windows -----------------------------------------------------
 
 TEST(AdmissionWindowLengths, MatchesBruteForceCount) {
   const Dataset data = paper_data(257, 11);
   const auto sorted = kreg::sort_dataset<double>(data.x, data.y);
   const double h_max = 0.9;
   const std::vector<std::size_t> lengths =
-      kreg::admission_window_lengths<double>(sorted.x, h_max);
+      kreg::admission_windows<double>(sorted.x, h_max).length;
   ASSERT_EQ(lengths.size(), sorted.x.size());
   for (std::size_t i = 0; i < sorted.x.size(); ++i) {
     std::size_t count = 0;
@@ -101,7 +96,7 @@ TEST(AdmissionWindowLengths, FloatUsesFloatPredicate) {
   const auto sorted = kreg::sort_dataset<float>(data.x, data.y);
   const float h_max = 0.5f;
   const std::vector<std::size_t> lengths =
-      kreg::admission_window_lengths<float>(sorted.x, h_max);
+      kreg::admission_windows<float>(sorted.x, h_max).length;
   ASSERT_EQ(lengths.size(), sorted.x.size());
   for (std::size_t i = 0; i < sorted.x.size(); ++i) {
     std::size_t count = 0;
@@ -115,164 +110,11 @@ TEST(AdmissionWindowLengths, FloatUsesFloatPredicate) {
   }
 }
 
-// --- sigma_batch_order -----------------------------------------------------
-
-TEST(SigmaBatchOrder, IdentityWhenSortDisabled) {
-  const std::vector<std::size_t> lengths = {5, 1, 9, 3, 7};
-  const auto order = kreg::sigma_batch_order(lengths, 0, 5, 0, false);
-  ASSERT_EQ(order.size(), 5u);
-  for (std::uint32_t r = 0; r < 5; ++r) {
-    EXPECT_EQ(order[r], r);
-  }
-}
-
-TEST(SigmaBatchOrder, SortsDescendingStableWithinScope) {
-  const std::vector<std::size_t> lengths = {5, 1, 9, 5, 7};
-  const auto order = kreg::sigma_batch_order(lengths, 0, 5, 0, true);
-  // Descending by length; ties (the two 5s) keep original order.
-  const std::vector<std::uint32_t> want = {2, 4, 0, 3, 1};
-  ASSERT_EQ(order.size(), want.size());
-  for (std::size_t r = 0; r < want.size(); ++r) {
-    EXPECT_EQ(order[r], want[r]) << "r=" << r;
-  }
-}
-
-TEST(SigmaBatchOrder, ScopesSortIndependently) {
-  const std::vector<std::size_t> lengths = {1, 9, 5, 2, 8, 3};
-  // scope = 3: {1,9,5} and {2,8,3} sort independently.
-  const auto order = kreg::sigma_batch_order(lengths, 0, 6, 3, true);
-  const std::vector<std::uint32_t> want = {1, 2, 0, 4, 5, 3};
-  ASSERT_EQ(order.size(), want.size());
-  for (std::size_t r = 0; r < want.size(); ++r) {
-    EXPECT_EQ(order[r], want[r]) << "r=" << r;
-  }
-}
-
-TEST(SigmaBatchOrder, RespectsBeginOffsetAndIsAPermutation) {
-  const std::vector<std::size_t> lengths = {0, 0, 4, 6, 5, 2};
-  const auto order = kreg::sigma_batch_order(lengths, 2, 6, 0, true);
-  ASSERT_EQ(order.size(), 4u);
-  // Relative to begin = 2: lengths {4,6,5,2} → order {1,2,0,3}.
-  EXPECT_EQ(order[0], 1u);
-  EXPECT_EQ(order[1], 2u);
-  EXPECT_EQ(order[2], 0u);
-  EXPECT_EQ(order[3], 3u);
-  std::vector<std::uint32_t> sorted_order(order.begin(), order.end());
-  std::sort(sorted_order.begin(), sorted_order.end());
-  for (std::uint32_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(sorted_order[r], r);
-  }
-}
-
-// --- sigma_batch_order: two-key (position, length) policy --------------------
-
-TEST(SigmaBatchOrderTwoKey, PolicyNoneIsIdentityAndIgnoresKeys) {
-  const std::vector<std::size_t> lengths = {5, 1, 9, 3, 7};
-  const std::vector<std::size_t> los = {40, 0, 20, 10, 30};
-  const auto order = kreg::sigma_batch_order(lengths, los, 0, 5, 0,
-                                             SigmaPolicy::kNone, 8);
-  ASSERT_EQ(order.size(), 5u);
-  for (std::uint32_t r = 0; r < 5; ++r) {
-    EXPECT_EQ(order[r], r);
-  }
-}
-
-TEST(SigmaBatchOrderTwoKey, PrimarySortsByPositionBucketAscending) {
-  // Buckets of width 8: lo 17 → bucket 2, lo 9 → 1, lo 0 → 0, lo 25 → 3.
-  const std::vector<std::size_t> lengths = {4, 4, 4, 4};
-  const std::vector<std::size_t> los = {17, 9, 0, 25};
-  const auto order = kreg::sigma_batch_order(
-      lengths, los, 0, 4, 0, SigmaPolicy::kPositionLength, 8);
-  const std::vector<std::uint32_t> want = {2, 1, 0, 3};
-  ASSERT_EQ(order.size(), want.size());
-  for (std::size_t r = 0; r < want.size(); ++r) {
-    EXPECT_EQ(order[r], want[r]) << "r=" << r;
-  }
-}
-
-TEST(SigmaBatchOrderTwoKey, SecondaryLengthDescendingWithinBucket) {
-  // All four lo values land in bucket 0 (width 16) → pure length order.
-  const std::vector<std::size_t> lengths = {5, 9, 1, 7};
-  const std::vector<std::size_t> los = {3, 0, 15, 8};
-  const auto order = kreg::sigma_batch_order(
-      lengths, los, 0, 4, 0, SigmaPolicy::kPositionLength, 16);
-  const std::vector<std::uint32_t> want = {1, 3, 0, 2};
-  ASSERT_EQ(order.size(), want.size());
-  for (std::size_t r = 0; r < want.size(); ++r) {
-    EXPECT_EQ(order[r], want[r]) << "r=" << r;
-  }
-}
-
-TEST(SigmaBatchOrderTwoKey, StableOnFullKeyTiesAndRespectsScopes) {
-  // Rows 0/2/4 tie on (bucket 0, length 6): original order must survive.
-  const std::vector<std::size_t> lengths = {6, 2, 6, 8, 6, 3};
-  const std::vector<std::size_t> los = {1, 3, 2, 0, 5, 4};
-  const auto order = kreg::sigma_batch_order(
-      lengths, los, 0, 6, 0, SigmaPolicy::kPositionLength, 8);
-  const std::vector<std::uint32_t> want = {3, 0, 2, 4, 5, 1};
-  ASSERT_EQ(order.size(), want.size());
-  for (std::size_t r = 0; r < want.size(); ++r) {
-    EXPECT_EQ(order[r], want[r]) << "r=" << r;
-  }
-  // scope = 3: {6,2,6} with lo {1,3,2} and {8,6,3} with lo {0,5,4} sort
-  // independently (one bucket each → length order, stable).
-  const auto scoped = kreg::sigma_batch_order(
-      lengths, los, 0, 6, 3, SigmaPolicy::kPositionLength, 8);
-  const std::vector<std::uint32_t> want_scoped = {0, 2, 1, 3, 4, 5};
-  ASSERT_EQ(scoped.size(), want_scoped.size());
-  for (std::size_t r = 0; r < want_scoped.size(); ++r) {
-    EXPECT_EQ(scoped[r], want_scoped[r]) << "r=" << r;
-  }
-}
-
-TEST(SigmaBatchOrderTwoKey, PositionLengthRequiresLoCoverage) {
-  const std::vector<std::size_t> lengths = {5, 1, 9};
-  const std::vector<std::size_t> los = {0, 1};  // too short for end = 3
-  EXPECT_THROW(kreg::sigma_batch_order(lengths, los, 0, 3, 0,
-                                       SigmaPolicy::kPositionLength, 8),
-               std::invalid_argument);
-}
-
-TEST(SigmaBatchOrderTwoKey, LegacyBoolOverloadMapsToLengthPolicy) {
-  const std::vector<std::size_t> lengths = {5, 1, 9, 5, 7};
-  const auto legacy = kreg::sigma_batch_order(lengths, 0, 5, 0, true);
-  const auto policy = kreg::sigma_batch_order(
-      lengths, {}, 0, 5, 0, SigmaPolicy::kLength, 8);
-  ASSERT_EQ(legacy.size(), policy.size());
-  for (std::size_t r = 0; r < legacy.size(); ++r) {
-    EXPECT_EQ(legacy[r], policy[r]) << "r=" << r;
-  }
-}
-
-// --- admission_windows -------------------------------------------------------
-
-TEST(AdmissionWindowsTest, LoAndLengthMatchBruteForce) {
-  const Dataset data = paper_data(193, 19);
-  const auto sorted = kreg::sort_dataset<double>(data.x, data.y);
-  const double h_max = 0.7;
-  const kreg::AdmissionWindows win = kreg::admission_windows<double>(
-      std::span<const double>(sorted.x), h_max);
-  ASSERT_EQ(win.lo.size(), sorted.x.size());
-  ASSERT_EQ(win.length.size(), sorted.x.size());
-  for (std::size_t i = 0; i < sorted.x.size(); ++i) {
-    std::size_t lo = i;
-    while (lo > 0 && sorted.x[i] - sorted.x[lo - 1] <= h_max) {
-      --lo;
-    }
-    std::size_t hi = i;
-    while (hi + 1 < sorted.x.size() && sorted.x[hi + 1] - sorted.x[i] <= h_max) {
-      ++hi;
-    }
-    EXPECT_EQ(win.lo[i], lo) << "i=" << i;
-    EXPECT_EQ(win.length[i], hi - lo + 1) << "i=" << i;
-  }
-}
-
 // --- host batched profile: bitwise parity ----------------------------------
 
 // One tile covering the dataset ⇒ the batched profile must equal the
-// sequential scalar profile bit for bit, for every lane width × σ setting,
-// including ragged tails (n mod C ≠ 0).
+// sequential scalar profile bit for bit, for every lane width, including
+// ragged tails (n mod C ≠ 0).
 TEST(BatchedHostProfile, BitwiseEqualsScalarSingleTile) {
   const std::vector<double> grid = test_grid();
   for (const std::size_t n : {64u, 203u, 517u}) {
@@ -281,18 +123,14 @@ TEST(BatchedHostProfile, BitwiseEqualsScalarSingleTile) {
         data, grid, KernelType::kEpanechnikov, Precision::kDouble);
     HostTiling one_tile;
     one_tile.n_block = n;  // single tile: matches profile_sequential order
-    for (const std::size_t width : {1u, 4u, 8u, 16u}) {
-      for (const SigmaPolicy sigma : kAllPolicies) {
-        BatchedSweep batched;
-        batched.lane_width = width;
-        batched.sigma = sigma;
-        const std::vector<double> got = kreg::window_cv_profile_batched(
-            data, grid, KernelType::kEpanechnikov, Precision::kDouble,
-            batched, one_tile);
-        SCOPED_TRACE("n=" + std::to_string(n) + " C=" + std::to_string(width) +
-                     " sigma=" + std::string(kreg::to_string(sigma)));
-        expect_bitwise_profiles(got, want);
-      }
+    for (const std::size_t width : {1u, 8u, 16u}) {
+      BatchedSweep batched;
+      batched.lane_width = width;
+      const std::vector<double> got = kreg::window_cv_profile_batched(
+          data, grid, KernelType::kEpanechnikov, Precision::kDouble, batched,
+          one_tile);
+      SCOPED_TRACE("n=" + std::to_string(n) + " C=" + std::to_string(width));
+      expect_bitwise_profiles(got, want);
     }
   }
 }
@@ -304,7 +142,7 @@ TEST(BatchedHostProfile, BitwiseEqualsScalarFloat) {
       data, grid, KernelType::kEpanechnikov, Precision::kFloat);
   HostTiling one_tile;
   one_tile.n_block = 301;
-  for (const std::size_t width : {4u, 8u}) {
+  for (const std::size_t width : {8u, 16u}) {
     BatchedSweep batched;
     batched.lane_width = width;
     const std::vector<double> got = kreg::window_cv_profile_batched(
@@ -327,16 +165,15 @@ TEST(BatchedHostProfile, BitwiseEqualsTiledUnderStreamingTilings) {
       tiling.k_block = k_block;
       const std::vector<double> want = kreg::window_cv_profile_tiled(
           data, grid, KernelType::kEpanechnikov, Precision::kDouble, tiling);
-      for (const SigmaPolicy sigma : kAllPolicies) {
+      for (const std::size_t width : {8u, 16u}) {
         BatchedSweep batched;
-        batched.lane_width = 8;
-        batched.sigma = sigma;
+        batched.lane_width = width;
         const std::vector<double> got = kreg::window_cv_profile_batched(
             data, grid, KernelType::kEpanechnikov, Precision::kDouble,
             batched, tiling);
         SCOPED_TRACE("n_block=" + std::to_string(n_block) +
                      " k_block=" + std::to_string(k_block) +
-                     " sigma=" + std::string(kreg::to_string(sigma)));
+                     " C=" + std::to_string(width));
         expect_bitwise_profiles(got, want);
       }
     }
@@ -361,10 +198,9 @@ TEST(BatchedHostProfile, BitwiseParityTriweightKernel) {
 
 // Tiny samples stress the batch machinery's edges: n < C (one all-padding
 // batch beyond lane 0), n = C (exactly one full batch), and n = C + 1 (a
-// one-lane ragged tail) — for both precisions under the default two-key
-// policy, where the contiguous-run detector sees windows pinned against
-// both array edges.
-TEST(BatchedHostProfile, TinyNBitwiseParityPositionLength) {
+// one-lane ragged tail) — for both precisions, where the contiguous-run
+// detector sees windows pinned against both array edges.
+TEST(BatchedHostProfile, TinyNBitwiseParity) {
   const std::vector<double> grid = test_grid(16);
   for (const std::size_t n : {5u, 8u, 9u, 16u, 17u}) {
     const Dataset data = paper_data(n, 100 + n);
@@ -377,7 +213,6 @@ TEST(BatchedHostProfile, TinyNBitwiseParityPositionLength) {
       for (const std::size_t width : {8u, 16u}) {
         BatchedSweep batched;
         batched.lane_width = width;
-        batched.sigma = SigmaPolicy::kPositionLength;
         BatchRunStats stats;
         const std::vector<double> got = kreg::window_cv_profile_batched(
             data, grid, KernelType::kEpanechnikov, precision, batched,
@@ -393,9 +228,9 @@ TEST(BatchedHostProfile, TinyNBitwiseParityPositionLength) {
   }
 }
 
-// Under the two-key policy a batch's lanes admit from overlapping index
-// ranges, so the contiguous-run transpose path must actually fire — and
-// firing must not perturb a single bit of the profile.
+// A batch's lanes are consecutive sorted rows and admit from overlapping
+// index ranges, so the contiguous-run transpose path must fire on most
+// steps — and firing must not perturb a single bit of the profile.
 TEST(BatchedHostProfile, ContigFastPathFiresAndStaysBitwise) {
   const std::vector<double> grid = test_grid();
   const Dataset data = paper_data(1024, 77);
@@ -403,90 +238,22 @@ TEST(BatchedHostProfile, ContigFastPathFiresAndStaysBitwise) {
       data, grid, KernelType::kEpanechnikov, Precision::kDouble);
   HostTiling one_tile;
   one_tile.n_block = 1024;
-  // C = 4 is absent: narrow-batch host requests are rerouted to the scalar
-  // sweep (see CFourRoutesToScalarSweep), so its vector counters never fire.
   for (const std::size_t width : {8u, 16u}) {
     BatchedSweep batched;
     batched.lane_width = width;
-    batched.sigma = SigmaPolicy::kPositionLength;
     BatchRunStats stats;
     const std::vector<double> got = kreg::window_cv_profile_batched(
         data, grid, KernelType::kEpanechnikov, Precision::kDouble, batched,
         one_tile, nullptr, &stats);
     SCOPED_TRACE("C=" + std::to_string(width));
     expect_bitwise_profiles(got, want);
-    EXPECT_GT(stats.contig_steps, 0u);
-    EXPECT_GT(stats.contig_steps + stats.gather_steps, 0u);
-    EXPECT_GE(stats.contig_rate(), 0.0);
+    EXPECT_GT(stats.contig_steps, stats.gather_steps);
     EXPECT_LE(stats.contig_rate(), 1.0);
-    EXPECT_EQ(stats.scalar_routed, 0u);
   }
-}
-
-// The C = 4 narrow batch loses to scalar on the host (ROADMAP measurement):
-// an explicit lane_width = 4 request must take the scalar tiled sweep —
-// bitwise identical, no vector steps, and the reroute noted in the ledger.
-TEST(BatchedHostProfile, CFourRoutesToScalarSweep) {
-  const std::vector<double> grid = test_grid();
-  const Dataset data = paper_data(640, 19);
-  HostTiling tiling;  // auto tiles: matches window_cv_profile_tiled exactly
-  const std::vector<double> want = kreg::window_cv_profile_tiled(
-      data, grid, KernelType::kEpanechnikov, Precision::kDouble, tiling);
-  BatchedSweep batched;
-  batched.lane_width = 4;
-  BatchRunStats stats;
-  const std::vector<double> got = kreg::window_cv_profile_batched(
-      data, grid, KernelType::kEpanechnikov, Precision::kDouble, batched,
-      tiling, nullptr, &stats);
-  expect_bitwise_profiles(got, want);
-  EXPECT_EQ(stats.scalar_routed, 1u);
-  EXPECT_EQ(stats.contig_steps, 0u);
-  EXPECT_EQ(stats.gather_steps, 0u);
-
-  // The wide batch still takes the vector path: no reroute.
-  batched.lane_width = 8;
-  BatchRunStats wide_stats;
-  const std::vector<double> wide = kreg::window_cv_profile_batched(
-      data, grid, KernelType::kEpanechnikov, Precision::kDouble, batched,
-      tiling, nullptr, &wide_stats);
-  expect_bitwise_profiles(wide, want);
-  EXPECT_EQ(wide_stats.scalar_routed, 0u);
-  EXPECT_GT(wide_stats.contig_steps + wide_stats.gather_steps, 0u);
-}
-
-// Software prefetch is observational: any distance gives the same bits.
-TEST(BatchedHostProfile, PrefetchDistanceIsBitwiseNeutral) {
-  const std::vector<double> grid = test_grid();
-  const Dataset data = paper_data(517, 41);
-  HostTiling one_tile;
-  one_tile.n_block = 517;
-  const std::vector<double> want = kreg::window_cv_profile(
-      data, grid, KernelType::kEpanechnikov, Precision::kDouble);
-  for (const std::size_t dist : {0u, 1u, 8u, 64u}) {
-    BatchedSweep batched;
-    batched.lane_width = 8;
-    batched.prefetch_distance = dist;
-    const std::vector<double> got = kreg::window_cv_profile_batched(
-        data, grid, KernelType::kEpanechnikov, Precision::kDouble, batched,
-        one_tile);
-    SCOPED_TRACE("dist=" + std::to_string(dist));
-    expect_bitwise_profiles(got, want);
-  }
-}
-
-TEST(BatchedHostProfile, RejectsOversizedPrefetchDistance) {
-  const Dataset data = paper_data(32, 3);
-  const std::vector<double> grid = test_grid(4);
-  BatchedSweep batched;
-  batched.prefetch_distance = kreg::kMaxPrefetchDistance + 1;
-  EXPECT_THROW(kreg::window_cv_profile_batched(data, grid,
-                                               KernelType::kEpanechnikov,
-                                               Precision::kDouble, batched),
-               std::invalid_argument);
 }
 
 TEST(BatchedHostProfile, DefaultsMatchTiledDefaults) {
-  // Default BatchedSweep (auto width, σ on) with default tiling must equal
+  // Default BatchedSweep (auto width) with default tiling must equal
   // the default scalar tiled profile — batched is the default host backend.
   const std::vector<double> grid = test_grid();
   const Dataset data = paper_data(3000, 21);
@@ -500,12 +267,15 @@ TEST(BatchedHostProfile, DefaultsMatchTiledDefaults) {
 TEST(BatchedHostProfile, RejectsBadLaneWidthAndBadGrid) {
   const Dataset data = paper_data(32, 3);
   const std::vector<double> grid = test_grid(4);
-  BatchedSweep batched;
-  batched.lane_width = 3;
-  EXPECT_THROW(kreg::window_cv_profile_batched(
-                   data, grid, KernelType::kEpanechnikov, Precision::kDouble,
-                   batched),
-               std::invalid_argument);
+  for (const std::size_t width : {3u, 4u}) {
+    BatchedSweep batched;
+    batched.lane_width = width;
+    EXPECT_THROW(kreg::window_cv_profile_batched(
+                     data, grid, KernelType::kEpanechnikov,
+                     Precision::kDouble, batched),
+                 std::invalid_argument)
+        << "C=" << width;
+  }
   const std::vector<double> bad_grid = {0.5, 0.5, 0.6};
   EXPECT_THROW(kreg::window_cv_profile_batched(data, bad_grid,
                                                KernelType::kEpanechnikov),
@@ -514,12 +284,11 @@ TEST(BatchedHostProfile, RejectsBadLaneWidthAndBadGrid) {
 
 // --- device batched kernels: bitwise parity --------------------------------
 
-SpmdSelectorConfig device_cfg(std::size_t lane_width, SigmaPolicy sigma,
+SpmdSelectorConfig device_cfg(std::size_t lane_width,
                               Precision precision = Precision::kDouble) {
   SpmdSelectorConfig cfg;
   cfg.precision = precision;
   cfg.lane_width = lane_width;
-  cfg.sigma = sigma;
   cfg.stream.auto_tune = false;  // pin the resident path unless overridden
   return cfg;
 }
@@ -535,22 +304,18 @@ void expect_same_selection(const SelectionResult& got,
 }
 
 // n = 700 with tpb = 512 gives a full block plus a ragged 188-row block, so
-// every lane width exercises tail dispatches and a short σ-scope.
-TEST(SpmdBatchedParity, ResidentBitwiseAcrossLaneWidthsAndSigma) {
+// every lane width exercises tail dispatches.
+TEST(SpmdBatchedParity, ResidentBitwiseAcrossLaneWidths) {
   const Dataset data = paper_data(700, 31);
   const BandwidthGrid grid(0.05, 1.2, 32);
   Device dev;
   const SelectionResult want =
-      SpmdGridSelector(dev, device_cfg(1, SigmaPolicy::kNone))
-          .select(data, grid);
-  for (const std::size_t width : {4u, 8u, 16u}) {
-    for (const SigmaPolicy sigma : kAllPolicies) {
-      const SelectionResult got =
-          SpmdGridSelector(dev, device_cfg(width, sigma)).select(data, grid);
-      SCOPED_TRACE("C=" + std::to_string(width) +
-                   " sigma=" + std::string(kreg::to_string(sigma)));
-      expect_same_selection(got, want);
-    }
+      SpmdGridSelector(dev, device_cfg(1)).select(data, grid);
+  for (const std::size_t width : {8u, 16u}) {
+    const SelectionResult got =
+        SpmdGridSelector(dev, device_cfg(width)).select(data, grid);
+    SCOPED_TRACE("C=" + std::to_string(width));
+    expect_same_selection(got, want);
   }
 }
 
@@ -559,12 +324,11 @@ TEST(SpmdBatchedParity, ResidentBitwiseObservationMajorAndFloat) {
   const BandwidthGrid grid(0.05, 1.2, 24);
   Device dev;
   for (const Precision precision : {Precision::kFloat, Precision::kDouble}) {
-    SpmdSelectorConfig scalar = device_cfg(1, SigmaPolicy::kNone, precision);
+    SpmdSelectorConfig scalar = device_cfg(1, precision);
     scalar.layout = ResidualLayout::kObservationMajor;
     const SelectionResult want =
         SpmdGridSelector(dev, scalar).select(data, grid);
-    SpmdSelectorConfig batched =
-        device_cfg(8, SigmaPolicy::kPositionLength, precision);
+    SpmdSelectorConfig batched = device_cfg(8, precision);
     batched.layout = ResidualLayout::kObservationMajor;
     const SelectionResult got =
         SpmdGridSelector(dev, batched).select(data, grid);
@@ -577,14 +341,13 @@ TEST(SpmdBatchedParity, StreamedKblockBitwise) {
   const BandwidthGrid grid(0.05, 1.2, 40);
   Device dev;
   const SelectionResult resident =
-      SpmdGridSelector(dev, device_cfg(1, SigmaPolicy::kNone))
-          .select(data, grid);
-  for (const SigmaPolicy sigma : kAllPolicies) {
-    SpmdSelectorConfig cfg = device_cfg(8, sigma);
+      SpmdGridSelector(dev, device_cfg(1)).select(data, grid);
+  for (const std::size_t width : {8u, 16u}) {
+    SpmdSelectorConfig cfg = device_cfg(width);
     cfg.stream.k_block = 8;
     const SelectionResult got =
         SpmdGridSelector(dev, cfg).select(data, grid);
-    SCOPED_TRACE("sigma=" + std::string(kreg::to_string(sigma)));
+    SCOPED_TRACE("C=" + std::to_string(width));
     expect_same_selection(got, resident);
   }
 }
@@ -594,10 +357,9 @@ TEST(SpmdBatchedParity, Streamed2DTileBitwise) {
   const BandwidthGrid grid(0.05, 1.2, 32);
   Device dev;
   const SelectionResult resident =
-      SpmdGridSelector(dev, device_cfg(1, SigmaPolicy::kNone))
-          .select(data, grid);
-  for (const std::size_t width : {4u, 16u}) {
-    SpmdSelectorConfig cfg = device_cfg(width, SigmaPolicy::kPositionLength);
+      SpmdGridSelector(dev, device_cfg(1)).select(data, grid);
+  for (const std::size_t width : {8u, 16u}) {
+    SpmdSelectorConfig cfg = device_cfg(width);
     cfg.stream.k_block = 8;
     cfg.stream.n_block = 96;
     const SelectionResult got =
@@ -607,40 +369,28 @@ TEST(SpmdBatchedParity, Streamed2DTileBitwise) {
   }
 }
 
-TEST(SpmdBatchedParity, NameReportsLanesSigmaAndPrefetch) {
+TEST(SpmdBatchedParity, NameReportsLanes) {
   Device dev;
-  const std::string batched =
-      SpmdGridSelector(dev, device_cfg(8, SigmaPolicy::kLength)).name();
-  EXPECT_NE(batched.find("lanes=8"), std::string::npos) << batched;
-  EXPECT_NE(batched.find("sigma=length"), std::string::npos) << batched;
-  const std::string poslen =
-      SpmdGridSelector(dev, device_cfg(8, SigmaPolicy::kPositionLength))
-          .name();
-  EXPECT_NE(poslen.find("sigma=position-length"), std::string::npos) << poslen;
-  const std::string no_sigma =
-      SpmdGridSelector(dev, device_cfg(4, SigmaPolicy::kNone)).name();
-  EXPECT_NE(no_sigma.find("lanes=4"), std::string::npos) << no_sigma;
-  EXPECT_EQ(no_sigma.find("sigma"), std::string::npos) << no_sigma;
-  EXPECT_EQ(no_sigma.find("prefetch"), std::string::npos) << no_sigma;
-  SpmdSelectorConfig pf = device_cfg(8, SigmaPolicy::kPositionLength);
-  pf.prefetch_distance = 6;
-  const std::string with_pf = SpmdGridSelector(dev, pf).name();
-  EXPECT_NE(with_pf.find("prefetch=6"), std::string::npos) << with_pf;
-  const std::string scalar =
-      SpmdGridSelector(dev, device_cfg(1, SigmaPolicy::kLength)).name();
+  for (const std::size_t width : {8u, 16u}) {
+    const std::string batched = SpmdGridSelector(dev, device_cfg(width)).name();
+    EXPECT_NE(batched.find("lanes=" + std::to_string(width)),
+              std::string::npos)
+        << batched;
+  }
+  const std::string scalar = SpmdGridSelector(dev, device_cfg(1)).name();
   EXPECT_EQ(scalar.find("lanes"), std::string::npos) << scalar;
 }
 
-TEST(SpmdBatchedParity, CtorRejectsBadLaneWidthAndBadPrefetch) {
+TEST(SpmdBatchedParity, CtorRejectsBadLaneWidth) {
   Device dev;
-  EXPECT_THROW(SpmdGridSelector(dev, device_cfg(5, SigmaPolicy::kLength)),
-               std::invalid_argument);
-  EXPECT_THROW(MultiDeviceGridSelector({&dev},
-                                       device_cfg(3, SigmaPolicy::kLength)),
-               std::invalid_argument);
-  SpmdSelectorConfig pf = device_cfg(8, SigmaPolicy::kPositionLength);
-  pf.prefetch_distance = kreg::kMaxPrefetchDistance + 1;
-  EXPECT_THROW(SpmdGridSelector(dev, pf), std::invalid_argument);
+  for (const std::size_t width : {3u, 4u, 5u}) {
+    EXPECT_THROW(SpmdGridSelector(dev, device_cfg(width)),
+                 std::invalid_argument)
+        << "C=" << width;
+    EXPECT_THROW(MultiDeviceGridSelector({&dev}, device_cfg(width)),
+                 std::invalid_argument)
+        << "C=" << width;
+  }
 }
 
 TEST(MultiDeviceBatchedParity, ResidentAndStreamedBitwise) {
@@ -650,18 +400,16 @@ TEST(MultiDeviceBatchedParity, ResidentAndStreamedBitwise) {
   Device dev2;
   const std::vector<Device*> devices = {&dev1, &dev2};
   const SelectionResult want =
-      MultiDeviceGridSelector(devices, device_cfg(1, SigmaPolicy::kNone))
-          .select(data, grid);
-  for (const std::size_t width : {4u, 8u}) {
+      MultiDeviceGridSelector(devices, device_cfg(1)).select(data, grid);
+  for (const std::size_t width : {8u, 16u}) {
     const SelectionResult got =
-        MultiDeviceGridSelector(
-            devices, device_cfg(width, SigmaPolicy::kPositionLength))
+        MultiDeviceGridSelector(devices, device_cfg(width))
             .select(data, grid);
     SCOPED_TRACE("C=" + std::to_string(width));
     expect_same_selection(got, want);
   }
   // Force both streaming dimensions on each device slice.
-  SpmdSelectorConfig streamed = device_cfg(8, SigmaPolicy::kPositionLength);
+  SpmdSelectorConfig streamed = device_cfg(8);
   streamed.stream.k_block = 8;
   streamed.stream.n_block = 64;
   const SelectionResult got =

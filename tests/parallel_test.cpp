@@ -1,11 +1,12 @@
 // Tests for the host parallel substrate: thread pool lifecycle, parallel_for
-// correctness under both schedules, exception propagation, and deterministic
-// reduction.
+// correctness under both schedules, exception propagation, deterministic
+// reduction, and concurrent callers sharing one pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/blocked_range.hpp"
@@ -223,6 +224,42 @@ TEST(ParallelReduce, PropagatesException) {
                    },
                    [](double a, double b) { return a + b; }, &pool),
                std::logic_error);
+}
+
+// Regression: the last task used to decrement the pending count before
+// locking the caller's stack-local completion mutex, so a caller could see
+// zero, return, and destroy that mutex under the task's feet. Several
+// callers issuing many short calls on one pool make that window likely;
+// the TSan/ASan runs of this binary turn any recurrence into a hard error.
+TEST(ParallelFor, ConcurrentCallersShareOnePoolSafely) {
+  ThreadPool pool(4);
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kRounds = 500;
+  std::vector<std::size_t> failures(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &failures, c] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        std::vector<int> hits(8, 0);
+        parallel_for(hits.size(), [&](std::size_t i) { hits[i] = 1; }, &pool,
+                     round % 2 == 0 ? Schedule::kStatic : Schedule::kDynamic,
+                     1);
+        const long sum = parallel_reduce<long>(
+            64, 0L, [](std::size_t i) { return static_cast<long>(i); },
+            [](long a, long b) { return a + b; }, &pool);
+        if (std::accumulate(hits.begin(), hits.end(), 0) != 8 ||
+            sum != 63L * 64L / 2L) {
+          ++failures[c];
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) {
+    caller.join();
+  }
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(failures[c], 0u) << "caller " << c;
+  }
 }
 
 }  // namespace

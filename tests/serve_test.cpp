@@ -12,8 +12,10 @@
 // and co-scheduling safe at all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -498,6 +500,7 @@ TEST(ParseRequest, RejectsMalformedSelects) {
       "select grid=1:2:3:4",      "select backend=gpu",
       "select precision=half",    "select kernel=boxcar",
       "select dgp=",              "select budget=1.5X",
+      "select lane=4",            "select lane=3",
   };
   for (const char* line : bad) {
     EXPECT_THROW(kreg::serve::parse_request(line), std::invalid_argument)
@@ -716,10 +719,10 @@ TEST(SchedulerTest, CoSchedulesCompatibleSmallJobsOntoOneLaunch) {
 }
 
 TEST(SchedulerTest, NwDeviceJobsNeverGridMerge) {
-  // The NW device sweep's lane batching composes lanes across the whole
-  // h-grid, so per-point bits depend on the grid's other members. Merging
-  // two NW grids would change both jobs' last-ulp bits; the scheduler must
-  // launch them separately, and each launch must match its solo run.
+  // The NW window sweep's per-point bits depend on the grid's other
+  // members (see NwSweepBitsDependOnTheRestOfTheGrid). Merging two NW
+  // grids would change both jobs' last-ulp bits; the scheduler must launch
+  // them separately, and each launch must match its solo run.
   const auto data = make_data(96, 8);
   SelectionJob a = make_job(data);
   SelectionJob b = make_job(data);
@@ -736,6 +739,41 @@ TEST(SchedulerTest, NwDeviceJobsNeverGridMerge) {
   EXPECT_EQ(scheduler.stats().co_scheduled, 0u);
   expect_profiles_bitwise(oa.profile, direct_run(a));
   expect_profiles_bitwise(ob.profile, direct_run(b));
+}
+
+TEST(SchedulerTest, NwSweepBitsDependOnTheRestOfTheGrid) {
+  // Why the NW exception in co_schedulable exists, pinned on the host
+  // sweep: at each grid point window_sweep_resume admits the newly covered
+  // elements left side first, then right side, into one shared S_m/T_m
+  // pair. Extra grid points in between split those runs and reorder the
+  // floating-point additions, so merging grids changes the bits at shared
+  // points even though no lane batching is involved.
+  const auto data = make_data(768, 1);
+  SelectionJob solo = make_job(data, EstimatorKind::kNadarayaWatson,
+                               JobBackend::kHostSweep);
+  solo.bandwidth_grid = kreg::BandwidthGrid(0.02, 0.6, 37).values();
+  const std::vector<double> other = kreg::BandwidthGrid(0.03, 0.5, 10).values();
+  SelectionJob merged = solo;
+  merged.bandwidth_grid.clear();
+  std::set_union(solo.bandwidth_grid.begin(), solo.bandwidth_grid.end(),
+                 other.begin(), other.end(),
+                 std::back_inserter(merged.bandwidth_grid));
+  for (const Precision precision : {Precision::kFloat, Precision::kDouble}) {
+    solo.precision = precision;
+    merged.precision = precision;
+    const SelectionProfile alone = direct_run(solo);
+    const SelectionProfile joint = direct_run(merged);
+    std::size_t changed = 0;
+    for (std::size_t b = 0; b < alone.grid.size(); ++b) {
+      const auto at = std::find(joint.grid.begin(), joint.grid.end(),
+                                alone.grid[b]);
+      ASSERT_NE(at, joint.grid.end());
+      const double score = joint.scores[at - joint.grid.begin()];
+      changed += score != alone.scores[b] ? 1 : 0;
+    }
+    EXPECT_GT(changed, 0u)
+        << "float=" << (precision == Precision::kFloat);
+  }
 }
 
 TEST(SchedulerTest, CoScheduleLimitOneDisablesMerging) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "rng/stream.hpp"
@@ -68,6 +70,24 @@ struct ShapeCase {
 
 // ---- Plain key sorts: parameterized over algorithm and shape ------------
 
+// Parameters carry a name so test ids stay stable: a bare function pointer
+// would be printed, and named, by its run-time address.
+template <typename Fn>
+struct NamedAlgo {
+  const char* name;
+  Fn run;
+};
+
+template <typename Fn>
+void PrintTo(const NamedAlgo<Fn>& algo, std::ostream* os) {
+  *os << algo.name;
+}
+
+template <typename Fn>
+std::string algo_test_name(const ::testing::TestParamInfo<NamedAlgo<Fn>>& info) {
+  return info.param.name;
+}
+
 using SortFn = void (*)(std::span<double>);
 
 void run_iterative_quicksort(std::span<double> a) {
@@ -77,14 +97,14 @@ void run_introsort(std::span<double> a) { kreg::sort::introsort(a); }
 void run_heapsort(std::span<double> a) { kreg::sort::heapsort(a); }
 void run_insertion(std::span<double> a) { kreg::sort::insertion_sort(a); }
 
-class SortAlgoTest : public ::testing::TestWithParam<SortFn> {};
+class SortAlgoTest : public ::testing::TestWithParam<NamedAlgo<SortFn>> {};
 
 TEST_P(SortAlgoTest, SortsRandomInputs) {
   for (std::size_t n : {0u, 1u, 2u, 3u, 15u, 16u, 17u, 100u, 1000u}) {
     std::vector<double> v = random_doubles(n, 1000 + n);
     std::vector<double> expected = v;
     std::sort(expected.begin(), expected.end());
-    GetParam()(std::span<double>(v));
+    GetParam().run(std::span<double>(v));
     EXPECT_EQ(v, expected) << "n=" << n;
   }
 }
@@ -95,7 +115,7 @@ TEST_P(SortAlgoTest, SortsAdversarialShapes) {
       std::vector<double> v = make(n);
       std::vector<double> expected = v;
       std::sort(expected.begin(), expected.end());
-      GetParam()(std::span<double>(v));
+      GetParam().run(std::span<double>(v));
       EXPECT_EQ(v, expected) << "n=" << n;
     }
   }
@@ -105,14 +125,18 @@ TEST_P(SortAlgoTest, SortsFewDistinctValues) {
   std::vector<double> v = few_distinct(777, 42);
   std::vector<double> expected = v;
   std::sort(expected.begin(), expected.end());
-  GetParam()(std::span<double>(v));
+  GetParam().run(std::span<double>(v));
   EXPECT_EQ(v, expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SortAlgoTest,
-                         ::testing::Values(run_iterative_quicksort,
-                                           run_introsort, run_heapsort,
-                                           run_insertion));
+INSTANTIATE_TEST_SUITE_P(
+    AllAlgorithms, SortAlgoTest,
+    ::testing::Values(
+        NamedAlgo<SortFn>{"iterative_quicksort", run_iterative_quicksort},
+        NamedAlgo<SortFn>{"introsort", run_introsort},
+        NamedAlgo<SortFn>{"heapsort", run_heapsort},
+        NamedAlgo<SortFn>{"insertion_sort", run_insertion}),
+    algo_test_name<SortFn>);
 
 // ---- Key-value sorts ------------------------------------------------------
 
@@ -128,7 +152,7 @@ void run_insertion_kv(std::span<double> k, std::span<int> v) {
   kreg::sort::insertion_sort_kv(k, v);
 }
 
-class SortKvTest : public ::testing::TestWithParam<SortKvFn> {};
+class SortKvTest : public ::testing::TestWithParam<NamedAlgo<SortKvFn>> {};
 
 TEST_P(SortKvTest, KeysSortedAndPairsPreserved) {
   for (std::size_t n : {0u, 1u, 2u, 17u, 200u}) {
@@ -140,7 +164,7 @@ TEST_P(SortKvTest, KeysSortedAndPairsPreserved) {
     const std::vector<double> keys_before = keys;
     const std::vector<int> values_before = values;
 
-    GetParam()(std::span<double>(keys), std::span<int>(values));
+    GetParam().run(std::span<double>(keys), std::span<int>(values));
 
     EXPECT_TRUE(kreg::sort::is_sorted(std::span<const double>(keys)));
     EXPECT_TRUE(kreg::sort::is_paired_permutation(
@@ -154,16 +178,20 @@ TEST_P(SortKvTest, PayloadFollowsKeyExactly) {
   // With distinct keys, value i must end up wherever key i went.
   std::vector<double> keys = {5.0, -1.0, 3.5, 0.0, 9.75, -20.0};
   std::vector<int> values = {0, 1, 2, 3, 4, 5};
-  GetParam()(std::span<double>(keys), std::span<int>(values));
+  GetParam().run(std::span<double>(keys), std::span<int>(values));
   const std::vector<double> expected_keys = {-20.0, -1.0, 0.0, 3.5, 5.0, 9.75};
   const std::vector<int> expected_values = {5, 1, 3, 2, 0, 4};
   EXPECT_EQ(keys, expected_keys);
   EXPECT_EQ(values, expected_values);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKvAlgorithms, SortKvTest,
-                         ::testing::Values(run_quicksort_kv, run_heapsort_kv,
-                                           run_insertion_kv));
+INSTANTIATE_TEST_SUITE_P(
+    AllKvAlgorithms, SortKvTest,
+    ::testing::Values(
+        NamedAlgo<SortKvFn>{"iterative_quicksort_kv", run_quicksort_kv},
+        NamedAlgo<SortKvFn>{"heapsort_kv", run_heapsort_kv},
+        NamedAlgo<SortKvFn>{"insertion_sort_kv", run_insertion_kv}),
+    algo_test_name<SortKvFn>);
 
 // ---- The paper's use case: distances with Y payload -----------------------
 

@@ -74,8 +74,6 @@ struct FuzzDraw {
   ResidualLayout layout;
   std::size_t budget;  // 0 = no budget knob this round
   std::size_t lane_width;
-  kreg::SigmaPolicy sigma;
-  std::size_t prefetch;
 
   std::string describe() const {
     std::ostringstream os;
@@ -85,8 +83,7 @@ struct FuzzDraw {
        << " layout="
        << (layout == ResidualLayout::kObservationMajor ? "obs-major"
                                                        : "bw-major")
-       << " budget=" << budget << " lanes=" << lane_width
-       << " sigma=" << kreg::to_string(sigma) << " prefetch=" << prefetch;
+       << " budget=" << budget << " lanes=" << lane_width;
     return os.str();
   }
 };
@@ -102,15 +99,10 @@ FuzzDraw draw_problem(Stream& s) {
   d.layout = s.uniform() < 0.5 ? ResidualLayout::kObservationMajor
                                : ResidualLayout::kBandwidthMajor;
   d.budget = 0;
-  // Batched execution knobs: every (lane width, σ policy, prefetch) draw
-  // must leave the profile bitwise unchanged — they are pure scheduling.
-  const std::size_t widths[] = {1, 4, 8, 16};
-  d.lane_width = widths[draw(s, 0, 3)];
-  const kreg::SigmaPolicy policies[] = {kreg::SigmaPolicy::kNone,
-                                        kreg::SigmaPolicy::kLength,
-                                        kreg::SigmaPolicy::kPositionLength};
-  d.sigma = policies[draw(s, 0, 2)];
-  d.prefetch = draw(s, 0, 12);
+  // Every lane width must leave the profile bitwise unchanged — lane
+  // batching is pure scheduling.
+  const std::size_t widths[] = {1, 8, 16};
+  d.lane_width = widths[draw(s, 0, 2)];
   return d;
 }
 
@@ -148,8 +140,6 @@ TEST(StreamingFuzz, RegressionStreamedResidentHostAgree) {
     cfg.stream.n_block = fz.n_block;
     cfg.stream.k_block = fz.k_block;
     cfg.lane_width = fz.lane_width;
-    cfg.sigma = fz.sigma;
-    cfg.prefetch_distance = fz.prefetch;
     Device dev;
     const SelectionResult streamed =
         SpmdGridSelector(dev, cfg).select(data, grid);

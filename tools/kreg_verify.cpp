@@ -80,27 +80,10 @@ std::vector<Scenario> scenarios() {
   SpmdSelectorConfig scalar;
   scalar.precision = Precision::kDouble;
   scalar.lane_width = 1;
-  SpmdSelectorConfig batched_c4 = scalar;
-  batched_c4.lane_width = 4;
-  batched_c4.sigma = kreg::SigmaPolicy::kNone;
   SpmdSelectorConfig batched_c8 = scalar;
   batched_c8.lane_width = 8;
-  batched_c8.sigma = kreg::SigmaPolicy::kNone;
   SpmdSelectorConfig batched_c16 = scalar;
   batched_c16.lane_width = 16;
-  batched_c16.sigma = kreg::SigmaPolicy::kNone;
-  SpmdSelectorConfig batched_sorted = scalar;
-  batched_sorted.lane_width = 8;
-  // data-dependent lane order: demotes
-  batched_sorted.sigma = kreg::SigmaPolicy::kLength;
-  SpmdSelectorConfig batched_poslen = scalar;
-  batched_poslen.lane_width = 8;
-  // two-key (position, length) order + contiguous-run transpose path +
-  // software prefetch: exercises the locality-blocked batched launches
-  batched_poslen.sigma = kreg::SigmaPolicy::kPositionLength;
-  batched_poslen.prefetch_distance = 4;
-  SpmdSelectorConfig batched_poslen_c16 = batched_poslen;
-  batched_poslen_c16.lane_width = 16;
   SpmdSelectorConfig kblock = scalar;
   kblock.stream.k_block = 5;
   SpmdSelectorConfig tiled = scalar;
@@ -141,12 +124,8 @@ std::vector<Scenario> scenarios() {
 
   return {
       {"regress_scalar", regress(scalar)},
-      {"regress_batched_c4", regress(batched_c4)},
       {"regress_batched_c8", regress(batched_c8)},
       {"regress_batched_c16", regress(batched_c16)},
-      {"regress_batched_sigma_sorted", regress(batched_sorted)},
-      {"regress_batched_position_length", regress(batched_poslen)},
-      {"regress_batched_position_length_c16", regress(batched_poslen_c16)},
       {"regress_kblock_streamed", regress(kblock)},
       {"regress_2d_tiled", regress(tiled)},
       {"kde_resident", kde(kde_resident)},
