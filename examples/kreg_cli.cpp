@@ -102,7 +102,8 @@ class TiledWindowSelector final : public kreg::Selector {
     if (tiling_.k_block != 0) {
       n += ",kblock=" + std::to_string(tiling_.k_block);
     }
-    const std::size_t lanes = kreg::resolve_lane_width(batched_.lane_width);
+    const std::size_t lanes = kreg::resolve_lane_width(
+        batched_.lane_width, kreg::Precision::kDouble);
     if (lanes > 1) {
       n += ",lanes=" + std::to_string(lanes);
     }

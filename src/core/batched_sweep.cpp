@@ -11,9 +11,10 @@
 
 namespace kreg {
 
-std::size_t resolve_lane_width(std::size_t requested) {
+std::size_t resolve_lane_width(std::size_t requested, Precision precision) {
   if (requested == 0) {
-    return kDefaultLaneWidth;
+    return 64 / (precision == Precision::kFloat ? sizeof(float)
+                                                : sizeof(double));
   }
   if (requested == 1 || requested == 8 || requested == 16) {
     return requested;
@@ -166,7 +167,8 @@ std::vector<double> window_cv_profile_batched(const data::Dataset& data,
         std::string(to_string(kernel)) +
         "' is not supported by the window sweep; use the naive path");
   }
-  const std::size_t lane_width = resolve_lane_width(batched.lane_width);
+  const std::size_t lane_width =
+      resolve_lane_width(batched.lane_width, precision);
   return detail::with_lane_width(lane_width, [&](auto width) {
     constexpr std::size_t C = decltype(width)::value;
     return precision == Precision::kFloat

@@ -20,19 +20,16 @@ namespace kreg {
 /// simulated warps, contiguous-run loads). See core/detail/batched_lanes.hpp
 /// for the kernel itself.
 struct BatchedSweep {
-  /// Lanes per batch. 0 = auto (kDefaultLaneWidth); 1 runs the batch
+  /// Lanes per batch. 0 = auto (see resolve_lane_width); 1 runs the batch
   /// machinery degenerately (the parity anchor); 8/16 are the vector
   /// widths. Any other value throws.
   std::size_t lane_width = 0;
 };
 
-/// The auto lane width: 8 doubles span two AVX2 vectors (one AVX-512), and
-/// 8 floats exactly one AVX2 vector.
-inline constexpr std::size_t kDefaultLaneWidth = 8;
-
-/// Resolves a requested lane width: 0 → kDefaultLaneWidth; 1/8/16 pass
-/// through; anything else throws std::invalid_argument.
-std::size_t resolve_lane_width(std::size_t requested);
+/// Resolves a requested lane width for a sweep in `precision`: 0 → the auto
+/// width, one 64-byte zmm register of lanes (16 floats, 8 doubles); 1/8/16
+/// pass through; anything else throws std::invalid_argument.
+std::size_t resolve_lane_width(std::size_t requested, Precision precision);
 
 /// Per-observation admission-window lengths at h_max on the sorted array:
 /// `length[pos]` = |{l : |x_l − x_pos| ≤ h_max}|, the exact number of

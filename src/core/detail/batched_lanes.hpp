@@ -170,11 +170,11 @@ inline void batch_resume(LaneBatch<Scalar, C>& st,
                          const SweepPolynomial& poly, WriteResid&& write,
                          BatchRunStats* stats = nullptr) {
 #if KREG_HAVE_BATCHED_AVX512
-  // Hand-vectorized fast path for the zmm-width double batches; produces
-  // bit-identical profiles (see batched_lanes_avx512.hpp for the argument).
-  if constexpr (std::is_same_v<Scalar, double> && (C == 8 || C == 16)) {
-    if (batch_resume_avx512(st, xs_sorted, ys_sorted, hs, poly, write,
-                            stats)) {
+  // Hand-vectorized fast path for whole-register batches (8 or 16 doubles,
+  // 16 floats); produces bit-identical profiles (see
+  // batched_lanes_avx512.hpp for the argument).
+  if constexpr (kZmmServes<Scalar, C>) {
+    if (batch_resume_zmm(st, xs_sorted, ys_sorted, hs, poly, write, stats)) {
       return;
     }
   }
@@ -243,7 +243,8 @@ inline void batch_resume(LaneBatch<Scalar, C>& st,
         const auto c = static_cast<std::size_t>(cnt[l]);
         max_cnt = c > max_cnt ? c : max_cnt;
       }
-      const ContigRun run = detect_contig_run(cnt, base, C, max_cnt, n, left);
+      const ContigRun run =
+          detect_contig_run(cnt, base, C, max_cnt, n, left, kContigBlockWidth);
       if (run.steps != 0) {
         for (std::size_t l = 0; l < C; ++l) {
           off[l] = cnt[l] > 0

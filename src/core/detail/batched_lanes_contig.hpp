@@ -9,8 +9,8 @@
 // idx_l = base_l − s (left) or base_l + s (right), with base_l fixed for
 // the whole run. So the spread of the C gather targets is step-invariant:
 // span = max_l base_l − min_l base_l over the active lanes. Whenever
-// span < kContigBlockWidth, all C targets at every step s live inside one
-// kContigBlockWidth-element window starting at min_base ∓ s — and the
+// span < B for a block width B, all C targets at every step s live inside
+// one B-element window starting at min_base ∓ s — and the
 // masked gather can be replaced by one contiguous block load plus an
 // in-register transpose with **bit-identical** results, because the
 // transposed element xs[(min_base ∓ s) + (base_l − min_base)] is exactly
@@ -29,9 +29,10 @@
 
 namespace kreg::detail {
 
-/// Elements per contiguous block load: 16 doubles = two zmm vectors (two
-/// cache lines), 16 floats = one cache line. Also the permute width of the
-/// AVX-512 two-register transpose (vpermt2pd over 2×8 doubles).
+/// Elements per contiguous block load on the generic path: 16 doubles (two
+/// cache lines) or 16 floats (one). The AVX-512 kernel uses its own block
+/// width, two zmm registers = 2W elements (16 doubles, 32 floats), the
+/// reach of its two-register permute.
 inline constexpr std::size_t kContigBlockWidth = 16;
 
 /// One phase's detected run: `steps` is the bounds-safe contiguous step
@@ -43,16 +44,18 @@ struct ContigRun {
   std::size_t steps = 0;
 };
 
-/// The run-length check over the lane cnt/base SoA state for one phase.
-/// `left` selects the direction the block window slides: left runs read
-/// [min_base − s, min_base − s + W) so s is capped by min_base; right runs
-/// read [min_base + s, min_base + s + W) so s is capped by n − W −
-/// min_base. Both need min_base + W ≤ n at s = 0. Lanes with cnt ≤ 0 are
-/// ignored (their bases may be stale or −1).
+/// The run-length check over the lane cnt/base SoA state for one phase,
+/// for a block window of `block_width` = B elements. `left` selects the
+/// direction the window slides: left runs read [min_base − s,
+/// min_base − s + B) so s is capped by min_base; right runs read
+/// [min_base + s, min_base + s + B) so s is capped by n − B − min_base.
+/// Both need min_base + B ≤ n at s = 0. Lanes with cnt ≤ 0 are ignored
+/// (their bases may be stale or −1).
 inline ContigRun detect_contig_run(const std::int64_t* cnt,
                                    const std::int64_t* base,
                                    std::size_t lanes, std::size_t max_cnt,
-                                   std::size_t n, bool left) {
+                                   std::size_t n, bool left,
+                                   std::size_t block_width) {
   ContigRun run;
   bool any = false;
   std::int64_t max_base = 0;
@@ -72,7 +75,7 @@ inline ContigRun detect_contig_run(const std::int64_t* cnt,
   if (!any || max_cnt == 0) {
     return run;
   }
-  const auto width = static_cast<std::int64_t>(kContigBlockWidth);
+  const auto width = static_cast<std::int64_t>(block_width);
   const auto ni = static_cast<std::int64_t>(n);
   if (max_base - run.min_base >= width) {
     return run;

@@ -66,7 +66,7 @@ void validate_job(const SelectionJob& job) {
                                   "' is not supported by the window sweep");
     }
   }
-  resolve_lane_width(job.lane_width);  // throws on anything but 0/1/8/16
+  resolve_lane_width(job.lane_width, job.precision);  // 0/1/8/16 only
 }
 
 SelectionProfile profile_from_scores(const SelectionJob& job,

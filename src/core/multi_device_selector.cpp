@@ -24,7 +24,8 @@ MultiDeviceGridSelector::MultiDeviceGridSelector(
       throw std::invalid_argument("MultiDeviceGridSelector: null device");
     }
   }
-  (void)resolve_lane_width(config_.lane_width);  // reject bad widths early
+  // Reject bad widths early.
+  (void)resolve_lane_width(config_.lane_width, config_.precision);
 }
 
 std::size_t MultiDeviceGridSelector::estimated_bytes_per_device(
@@ -108,7 +109,8 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
     const std::span<const Scalar> xs_host(host_x);
     const std::span<const Scalar> ys_host(host_y);
     const Scalar reach = host_grid.back();  // widest admission: h_max
-    const std::size_t lane_width = resolve_lane_width(config.lane_width);
+    const std::size_t lane_width =
+        resolve_lane_width(config.lane_width, config.precision);
     for (std::size_t d = 0; d < slices.size(); ++d) {
       spmd::Device& device = *devices[d];
       const parallel::BlockedRange slice = slices[d];
@@ -582,7 +584,8 @@ std::string MultiDeviceGridSelector::name() const {
     n += ",budget=" + std::to_string(config_.stream.memory_budget_bytes);
   }
   if (config_.algorithm == SweepAlgorithm::kWindow) {
-    const std::size_t lanes = resolve_lane_width(config_.lane_width);
+    const std::size_t lanes =
+        resolve_lane_width(config_.lane_width, config_.precision);
     if (lanes > 1) {
       n += ",lanes=" + std::to_string(lanes);
     }

@@ -29,7 +29,8 @@ SpmdGridSelector::SpmdGridSelector(spmd::Device& device,
   if (config_.threads_per_block == 0) {
     throw std::invalid_argument("SpmdGridSelector: threads_per_block == 0");
   }
-  (void)resolve_lane_width(config_.lane_width);  // reject bad widths early
+  // Reject bad widths early.
+  (void)resolve_lane_width(config_.lane_width, config_.precision);
 }
 
 std::size_t SpmdGridSelector::estimated_bytes(std::size_t n, std::size_t k,
@@ -153,7 +154,8 @@ SelectionResult run_streamed_window_selection(
   const std::size_t block_dim =
       spmd::detail::reduction_block_dim(device, tpb);
 
-  const std::size_t lane_width = resolve_lane_width(config.lane_width);
+  const std::size_t lane_width =
+      resolve_lane_width(config.lane_width, config.precision);
 
   std::vector<double> cv(k);
   std::size_t best_index = 0;
@@ -311,7 +313,8 @@ SelectionResult run_streamed_2d_window_selection(
   }
   spmd::MemView<Scalar> lanes = d_lanes.view();
 
-  const std::size_t lane_width = resolve_lane_width(config.lane_width);
+  const std::size_t lane_width =
+      resolve_lane_width(config.lane_width, config.precision);
 
   for (std::size_t n0 = 0; n0 < n; n0 += plan.n_block) {
     const std::size_t nb = std::min(plan.n_block, n - n0);
@@ -621,7 +624,7 @@ SelectionResult run_device_selection(spmd::Device& device,
   const spmd::LaunchConfig main_cfg =
       spmd::LaunchConfig::cover(n, tpb);
   const std::size_t lane_width =
-      window ? resolve_lane_width(config.lane_width) : 1;
+      window ? resolve_lane_width(config.lane_width, config.precision) : 1;
   if (window && lane_width > 1) {
     // Batched fast path (the default): each dispatch sweeps C consecutive
     // observations in lockstep SoA lanes. Residuals stay keyed by
@@ -784,7 +787,8 @@ std::string SpmdGridSelector::name() const {
     n += ",budget=" + std::to_string(config_.stream.memory_budget_bytes);
   }
   if (config_.algorithm == SweepAlgorithm::kWindow) {
-    const std::size_t lanes = resolve_lane_width(config_.lane_width);
+    const std::size_t lanes =
+        resolve_lane_width(config_.lane_width, config_.precision);
     if (lanes > 1) {
       n += ",lanes=" + std::to_string(lanes);
     }

@@ -62,11 +62,12 @@ struct SpmdSelectorConfig {
   /// Lane-batched execution of the window kernels (see
   /// core/detail/batched_lanes.hpp): each device dispatch steps a group of
   /// `lane_width` threads in lockstep over consecutive sorted observations
-  /// — the batch interpretation of SIMT execution. 0 = auto
-  /// (kreg::kDefaultLaneWidth); 1 = the legacy one-thread-at-a-time scalar
-  /// kernels; 8/16 = batched. Residuals and carried window state stay
-  /// keyed by observation, so every lane width is bitwise identical to the
-  /// scalar kernels. Window algorithm only.
+  /// — the batch interpretation of SIMT execution. 0 = auto (one zmm
+  /// register of lanes: 16 float, 8 double — see kreg::resolve_lane_width);
+  /// 1 = the legacy one-thread-at-a-time scalar kernels; 8/16 = batched.
+  /// Residuals and carried window state stay keyed by observation, so
+  /// every lane width is bitwise identical to the scalar kernels. Window
+  /// algorithm only.
   std::size_t lane_width = 0;
 };
 

@@ -186,7 +186,8 @@ Request parse_request(std::string_view line) {
     } else if (key == "lane") {
       request.lane_width =
           static_cast<std::size_t>(parse_u64(value, "lane width"));
-      (void)resolve_lane_width(request.lane_width);  // 0, 1, 8 or 16 only
+      (void)resolve_lane_width(request.lane_width,
+                               request.precision);  // 0, 1, 8 or 16 only
     } else if (key == "budget") {
       request.budget_bytes = parse_memory_budget(value);
     } else {

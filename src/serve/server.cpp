@@ -218,6 +218,9 @@ void Server::handle_connection(int fd) {
   char chunk[4096];
   for (;;) {
     const ssize_t got = ::read(fd, chunk, sizeof(chunk));
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
     if (got <= 0) {
       break;
     }
@@ -229,10 +232,15 @@ void Server::handle_connection(int fd) {
       bool shutdown = false;
       std::string response = context_.handle_line(line, &shutdown);
       response.push_back('\n');
+      // MSG_NOSIGNAL: a client that hung up before reading its response
+      // gets EPIPE here instead of a SIGPIPE that would kill the daemon.
       std::size_t sent = 0;
       while (sent < response.size()) {
-        const ssize_t wrote =
-            ::write(fd, response.data() + sent, response.size() - sent);
+        const ssize_t wrote = ::send(fd, response.data() + sent,
+                                     response.size() - sent, MSG_NOSIGNAL);
+        if (wrote < 0 && errno == EINTR) {
+          continue;
+        }
         if (wrote <= 0) {
           ::close(fd);
           return;

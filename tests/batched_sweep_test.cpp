@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/batched_sweep.hpp"
@@ -56,18 +58,32 @@ void expect_bitwise_profiles(const std::vector<double>& got,
 // --- resolve_lane_width ----------------------------------------------------
 
 TEST(ResolveLaneWidth, ZeroSelectsDefaultAndValidWidthsPass) {
-  EXPECT_EQ(kreg::resolve_lane_width(0), kreg::kDefaultLaneWidth);
-  EXPECT_EQ(kreg::resolve_lane_width(1), 1u);
-  EXPECT_EQ(kreg::resolve_lane_width(8), 8u);
-  EXPECT_EQ(kreg::resolve_lane_width(16), 16u);
+  for (const Precision precision : {Precision::kFloat, Precision::kDouble}) {
+    EXPECT_EQ(kreg::resolve_lane_width(0, precision),
+              precision == Precision::kFloat ? 16u : 8u);
+    EXPECT_EQ(kreg::resolve_lane_width(1, precision), 1u);
+    EXPECT_EQ(kreg::resolve_lane_width(8, precision), 8u);
+    EXPECT_EQ(kreg::resolve_lane_width(16, precision), 16u);
+  }
+}
+
+// Auto is one 64-byte zmm register of lanes.
+TEST(ResolveLaneWidth, AutoIsSixteenFloatLanes) {
+  EXPECT_EQ(kreg::resolve_lane_width(0, Precision::kFloat), 16u);
+}
+
+TEST(ResolveLaneWidth, AutoIsEightDoubleLanes) {
+  EXPECT_EQ(kreg::resolve_lane_width(0, Precision::kDouble), 8u);
 }
 
 TEST(ResolveLaneWidth, RejectsUnsupportedWidths) {
-  EXPECT_THROW(kreg::resolve_lane_width(2), std::invalid_argument);
-  EXPECT_THROW(kreg::resolve_lane_width(3), std::invalid_argument);
-  EXPECT_THROW(kreg::resolve_lane_width(4), std::invalid_argument);
-  EXPECT_THROW(kreg::resolve_lane_width(5), std::invalid_argument);
-  EXPECT_THROW(kreg::resolve_lane_width(32), std::invalid_argument);
+  for (const Precision precision : {Precision::kFloat, Precision::kDouble}) {
+    for (const std::size_t width : {2u, 3u, 4u, 5u, 32u}) {
+      EXPECT_THROW(kreg::resolve_lane_width(width, precision),
+                   std::invalid_argument)
+          << "C=" << width;
+    }
+  }
 }
 
 // --- admission_windows -----------------------------------------------------
@@ -381,6 +397,22 @@ TEST(SpmdBatchedParity, NameReportsLanes) {
   EXPECT_EQ(scalar.find("lanes"), std::string::npos) << scalar;
 }
 
+// Auto (lane_width = 0) resolves per precision, and the name reports the
+// width that runs: one zmm register of lanes, 16 floats or 8 doubles.
+TEST(SpmdBatchedParity, NameReportsAutoWidthPerPrecision) {
+  Device dev;
+  const std::string float_auto =
+      SpmdGridSelector(dev, device_cfg(0, Precision::kFloat)).name();
+  EXPECT_NE(float_auto.find("lanes=16"), std::string::npos) << float_auto;
+  const std::string double_auto =
+      SpmdGridSelector(dev, device_cfg(0, Precision::kDouble)).name();
+  EXPECT_NE(double_auto.find("lanes=8"), std::string::npos) << double_auto;
+  const std::string multi_float =
+      MultiDeviceGridSelector({&dev}, device_cfg(0, Precision::kFloat))
+          .name();
+  EXPECT_NE(multi_float.find("lanes=16"), std::string::npos) << multi_float;
+}
+
 TEST(SpmdBatchedParity, CtorRejectsBadLaneWidth) {
   Device dev;
   for (const std::size_t width : {3u, 4u, 5u}) {
@@ -415,6 +447,125 @@ TEST(MultiDeviceBatchedParity, ResidentAndStreamedBitwise) {
   const SelectionResult got =
       MultiDeviceGridSelector(devices, streamed).select(data, grid);
   expect_same_selection(got, want);
+}
+
+// --- float lanes at C = 16: one zmm register per batch -------------------
+//
+// On AVX-512 builds with -ffp-contract=off, float batches of 16 run the
+// hand-vectorized kernel (batched_lanes_avx512.hpp); elsewhere they run the
+// generic path. Either way every profile must equal the C = 1 profile bit
+// for bit, so these checks compare bit patterns, not values.
+
+void expect_bit_identical(const std::vector<double>& got,
+                          const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t b = 0; b < want.size(); ++b) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[b]),
+              std::bit_cast<std::uint64_t>(want[b]))
+        << "b=" << b << " got=" << got[b] << " want=" << want[b];
+  }
+}
+
+std::vector<double> float_host_profile(const Dataset& data,
+                                       const std::vector<double>& grid,
+                                       KernelType kernel,
+                                       std::size_t lane_width,
+                                       BatchRunStats* stats = nullptr) {
+  BatchedSweep batched;
+  batched.lane_width = lane_width;
+  return kreg::window_cv_profile_batched(data, grid, kernel,
+                                         Precision::kFloat, batched, {},
+                                         nullptr, stats);
+}
+
+// Every sweepable kernel, so the kernel runs at each term count the
+// polynomials use (1, 2, 3, 5 and 7 terms).
+TEST(FloatZmmParity, EverySweepableKernelBitwise) {
+  const Dataset data = paper_data(1500, 61);
+  const std::vector<double> grid = test_grid(30);
+  std::vector<std::size_t> term_counts;
+  for (const KernelType kernel : kreg::kAllKernels) {
+    if (!kreg::is_sweepable(kernel)) {
+      continue;
+    }
+    term_counts.push_back(kreg::sweep_polynomial(kernel).max_power + 1);
+    SCOPED_TRACE(std::string(kreg::to_string(kernel)));
+    expect_bit_identical(float_host_profile(data, grid, kernel, 16),
+                         float_host_profile(data, grid, kernel, 1));
+  }
+  std::sort(term_counts.begin(), term_counts.end());
+  EXPECT_EQ(term_counts, (std::vector<std::size_t>{1, 2, 3, 5, 7}));
+}
+
+// n = 1…40: a single ragged batch below 16, windows narrower than the
+// 32-float block (every step on the gather path), and runs clipped
+// against both array edges once n passes 32.
+TEST(FloatZmmParity, TinyNEveryLengthBitwise) {
+  const std::vector<double> grid = test_grid(12);
+  for (std::size_t n = 1; n <= 40; ++n) {
+    const Dataset data = paper_data(n, 500 + n);
+    SCOPED_TRACE("n=" + std::to_string(n));
+    expect_bit_identical(
+        float_host_profile(data, grid, KernelType::kEpanechnikov, 16),
+        float_host_profile(data, grid, KernelType::kEpanechnikov, 1));
+    expect_bit_identical(
+        float_host_profile(data, grid, KernelType::kTriweight, 16),
+        float_host_profile(data, grid, KernelType::kTriweight, 1));
+  }
+}
+
+// Bandwidths up to several times the X range drive every window into
+// both array edges, where block reads are clipped and the masked gather
+// serves the remaining steps.
+TEST(FloatZmmParity, WideGridGatherFallbackBitwise) {
+  const Dataset data = paper_data(3001, 71);
+  const std::vector<double> grid = BandwidthGrid(0.001, 5.0, 40).values();
+  BatchRunStats stats;
+  const std::vector<double> got = float_host_profile(
+      data, grid, KernelType::kBiweight, 16, &stats);
+  expect_bit_identical(
+      got, float_host_profile(data, grid, KernelType::kBiweight, 1));
+  EXPECT_GT(stats.gather_steps, 0u);
+  EXPECT_GT(stats.contig_steps, 0u);
+}
+
+// The paper's Fig. 1 shape: n = 20,000, k = 50 on [0.001, 0.05]. Batches
+// of consecutive sorted rows keep their window bases within one block, so
+// the contiguous-run path serves most steps.
+TEST(FloatZmmParity, PaperShapeMostlyContiguous) {
+  const Dataset data = paper_data(20000, 1);
+  const std::vector<double> grid = BandwidthGrid(0.001, 0.05, 50).values();
+  BatchRunStats stats;
+  const std::vector<double> got = float_host_profile(
+      data, grid, KernelType::kEpanechnikov, 0, &stats);
+  expect_bit_identical(
+      got, float_host_profile(data, grid, KernelType::kEpanechnikov, 1));
+  EXPECT_GT(stats.contig_steps, stats.gather_steps);
+}
+
+TEST(FloatZmmParity, DevicePlansBitwise) {
+  const Dataset data = paper_data(700, 83);
+  const BandwidthGrid grid(0.05, 1.2, 32);
+  Device dev;
+  for (const KernelType kernel :
+       {KernelType::kEpanechnikov, KernelType::kTriweight}) {
+    SpmdSelectorConfig scalar = device_cfg(1, Precision::kFloat);
+    scalar.kernel = kernel;
+    const SelectionResult want =
+        SpmdGridSelector(dev, scalar).select(data, grid);
+    SpmdSelectorConfig resident = device_cfg(16, Precision::kFloat);
+    resident.kernel = kernel;
+    SpmdSelectorConfig kblock = resident;
+    kblock.stream.k_block = 8;
+    SpmdSelectorConfig tiled = kblock;
+    tiled.stream.n_block = 96;
+    for (const SpmdSelectorConfig& cfg : {resident, kblock, tiled}) {
+      const SelectionResult got =
+          SpmdGridSelector(dev, cfg).select(data, grid);
+      SCOPED_TRACE(SpmdGridSelector(dev, cfg).name());
+      expect_bit_identical(got.scores, want.scores);
+    }
+  }
 }
 
 // --- launch_lanes ----------------------------------------------------------

@@ -1,5 +1,6 @@
 // kreg-serve suite: the async selection scheduler, its profile cache, the
-// line protocol, and the strict server knobs.
+// line protocol, the strict server knobs, and the socket server's handling
+// of clients that hang up.
 //
 // The deterministic executor mode is the load-bearing test surface — wave
 // formation and commit are single-threaded in *both* executor modes, so
@@ -12,6 +13,10 @@
 // and co-scheduling safe at all.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <future>
@@ -19,6 +24,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/grid.hpp"
@@ -1032,6 +1038,69 @@ TEST(ServeContextTest, KnnGridSpecRoundsToAscendingCounts) {
   kreg::serve::Request bad =
       kreg::serve::parse_request("select estimator=knn n=64 grid=0:10:5");
   EXPECT_THROW(context.job_from_request(bad), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Server (the UNIX-socket daemon)
+
+int connect_unix(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::copy(path.begin(), path.end(), addr.sun_path);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_line(int fd, const std::string& line) {
+  const std::string wire = line + "\n";
+  return ::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(wire.size());
+}
+
+std::string read_line(int fd) {
+  std::string line;
+  char c = 0;
+  while (::read(fd, &c, 1) == 1 && c != '\n') {
+    line.push_back(c);
+  }
+  return line;
+}
+
+// A client that sends a select and closes before reading its response
+// makes the daemon write to a closed socket. That must cost the daemon
+// only that connection (EPIPE), not the process (SIGPIPE): the next
+// client still gets its answer.
+TEST(ServerTest, ClientHangupDoesNotKillTheDaemon) {
+  kreg::serve::ServerConfig config;
+  config.socket_path = ::testing::TempDir() + "kreg_hangup_" +
+                       std::to_string(::getpid()) + ".sock";
+  config.scheduler = pumpable_config();
+  kreg::serve::Server server(config);
+  std::thread loop([&server] { server.run(); });
+
+  const int quitter = connect_unix(config.socket_path);
+  ASSERT_GE(quitter, 0);
+  // Large enough that the reply is written well after the close below.
+  EXPECT_TRUE(send_line(quitter, "select n=2000 backend=host seed=3"));
+  ::close(quitter);
+
+  const int client = connect_unix(config.socket_path);
+  ASSERT_GE(client, 0);
+  ASSERT_TRUE(send_line(client, "select n=128 seed=5 grid=0.05:1.0:12"));
+  const std::string response = read_line(client);
+  EXPECT_EQ(response.rfind("ok ", 0), 0u) << response;
+  ASSERT_TRUE(send_line(client, "shutdown"));
+  EXPECT_EQ(read_line(client), "ok shutting down");
+  ::close(client);
+  loop.join();
 }
 
 }  // namespace

@@ -84,6 +84,8 @@ std::vector<Scenario> scenarios() {
   batched_c8.lane_width = 8;
   SpmdSelectorConfig batched_c16 = scalar;
   batched_c16.lane_width = 16;
+  SpmdSelectorConfig batched_c16_float = batched_c16;
+  batched_c16_float.precision = Precision::kFloat;  // the paper's precision
   SpmdSelectorConfig kblock = scalar;
   kblock.stream.k_block = 5;
   SpmdSelectorConfig tiled = scalar;
@@ -126,6 +128,7 @@ std::vector<Scenario> scenarios() {
       {"regress_scalar", regress(scalar)},
       {"regress_batched_c8", regress(batched_c8)},
       {"regress_batched_c16", regress(batched_c16)},
+      {"regress_batched_c16_float", regress(batched_c16_float)},
       {"regress_kblock_streamed", regress(kblock)},
       {"regress_2d_tiled", regress(tiled)},
       {"kde_resident", kde(kde_resident)},
