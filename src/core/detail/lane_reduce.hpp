@@ -67,6 +67,39 @@ Scalar lane_tree_reduce(spmd::Device& device, spmd::MemView<Scalar> lanes,
   return total;
 }
 
+/// Single-block cooperative sum over values[j * stride + offset] for
+/// j < count: the observation-major score reduction (stride = the residual
+/// block's bandwidth count). Phase 1 lanes the rows like reduce_sum; phase 2
+/// is the sequential tree.
+template <class Scalar>
+Scalar strided_score_reduce(spmd::Device& device,
+                            spmd::MemView<Scalar> values, std::size_t count,
+                            std::size_t stride, std::size_t offset,
+                            std::size_t block_dim) {
+  Scalar total{};
+  device.launch_cooperative(
+      "strided_score_reduce", spmd::LaunchConfig{1, block_dim},
+      block_dim * sizeof(Scalar), [&](spmd::BlockCtx& ctx) {
+        auto shared = ctx.template shared_as<Scalar>(block_dim);
+        ctx.for_each_thread([&](std::size_t tid) {
+          Scalar acc{};
+          for (std::size_t j = tid; j < count; j += block_dim) {
+            acc += values[j * stride + offset];
+          }
+          shared[tid] = acc;
+        });
+        for (std::size_t s = block_dim / 2; s > 0; s /= 2) {
+          ctx.for_each_thread([&](std::size_t tid) {
+            if (tid < s) {
+              shared[tid] += shared[tid + s];
+            }
+          });
+        }
+        total = shared[0];
+      });
+  return total;
+}
+
 /// First row index r in [0, nb) whose carried lane is `lane`, given the
 /// block's first row maps to lane `origin % D`: solves
 /// (origin + r) ≡ lane (mod D).

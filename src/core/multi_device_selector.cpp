@@ -4,9 +4,8 @@
 #include <utility>
 
 #include "core/batched_sweep.hpp"
-#include "core/detail/batched_lanes.hpp"
 #include "core/detail/device_sweep.hpp"
-#include "core/detail/lane_reduce.hpp"
+#include "core/detail/window_tiles.hpp"
 #include "core/window_sweep.hpp"
 #include "parallel/blocked_range.hpp"
 #include "spmd/reduce.hpp"
@@ -39,12 +38,12 @@ std::size_t MultiDeviceGridSelector::estimated_bytes_per_device(
       precision == Precision::kFloat ? sizeof(float) : sizeof(double);
   const std::size_t slice = (n + devices - 1) / devices;  // worst slice
   if (algorithm == SweepAlgorithm::kWindow) {
-    // Replicated sorted x + y, the slice's carried window state, and one
-    // slice×k_block residual block (k_block = 0 keeps the whole grid).
-    const std::size_t kb = k_block == 0 ? k : std::min(k_block, k);
-    const std::size_t terms = sweep_polynomial(kernel).max_power + 1;
-    return 2 * n * elem + 2 * slice * terms * elem +
-           2 * slice * sizeof(std::size_t) + slice * kb * elem;
+    // The worst slice's n-resident tile with one k_block residual block
+    // (k_block = 0 keeps the whole grid).
+    const detail::WindowTileModel model{
+        .n = n, .rows = slice, .k = k, .elem = elem,
+        .terms = sweep_polynomial(kernel).max_power + 1};
+    return model.bytes(slice, k_block == 0 ? k : std::min(k_block, k));
   }
   // Full x + y replicated, plus slice-sized matrices and per-device scores.
   std::size_t elems = 2 * n + k + 3 * slice * k;
@@ -94,353 +93,39 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
   // Combined per-bandwidth sums of squared residuals across devices.
   std::vector<double> combined(k, 0.0);
 
-  if (window) {
-    // Window path: shards are (device × n-block × k-block). Each device
-    // sweeps its contiguous slice of sorted positions; within a device the
-    // slice tiles further into n-blocks (each uploading only a halo-padded
-    // slab of the sorted arrays and carrying slice totals in per-lane
-    // accumulators — see lane_reduce.hpp) and the bandwidth grid streams
-    // through in k-blocks, each dimension sized to that device's own
-    // memory budget (a resident plan is simply the single-block
-    // degenerate, so one code path serves both). Only the per-bandwidth
-    // slice totals leave the device; every shard shape is bitwise
-    // identical to the resident sweep.
-    const std::size_t terms = poly.max_power + 1;
-    const std::span<const Scalar> xs_host(host_x);
-    const std::span<const Scalar> ys_host(host_y);
-    const Scalar reach = host_grid.back();  // widest admission: h_max
-    const std::size_t lane_width =
-        resolve_lane_width(config.lane_width, config.precision);
-    for (std::size_t d = 0; d < slices.size(); ++d) {
-      spmd::Device& device = *devices[d];
-      const parallel::BlockedRange slice = slices[d];
-      const std::size_t rows = slice.size();
-      const std::size_t base = slice.begin;
-      const std::size_t tpb = std::min(
-          config.threads_per_block, device.properties().max_threads_per_block);
-      const std::size_t elem = sizeof(Scalar);
-      const std::size_t lane_dim =
-          spmd::detail::reduction_block_dim(device, tpb);
-      const std::size_t base_bytes = 2 * n * elem + 2 * rows * terms * elem +
-                                     2 * rows * sizeof(std::size_t);
-      const std::size_t per_k_bytes = rows * elem;
-      const auto tile_bytes = [&, rows, base, k](std::size_t nb,
-                                                 std::size_t kb)
-          -> std::size_t {
-        if (nb >= rows) {
-          // Slice-resident: full sorted arrays + carry state + one block.
-          return base_bytes + kb * per_k_bytes;
-        }
-        const std::size_t slab =
-            detail::max_halo_span(xs_host, base, base + rows, nb, reach);
-        return 2 * slab * elem +
-               nb * (2 * terms * elem + 2 * sizeof(std::size_t)) +
-               nb * kb * elem + k * lane_dim * elem;
-      };
-      const StreamingPlan plan = resolve_streaming_2d(
-          config.stream, rows, k, base_bytes + k * per_k_bytes, tile_bytes,
-          device.properties().memory_budget().global_bytes);
-
-      if (plan.n_streamed) {
-        // Carried per-(bandwidth, lane) accumulators, keyed on the
-        // *slice-local* row index mod lane_dim — exactly how the resident
-        // per-device reduce_sum lanes its slice — and zero-uploaded like
-        // phase 1's initial state.
-        spmd::DeviceBuffer<Scalar> d_lanes =
-            device.alloc_global<Scalar>(k * lane_dim, "score-lanes");
-        {
-          const std::vector<Scalar> zeros(k * lane_dim, Scalar{});
-          device.copy_to_device(d_lanes, std::span<const Scalar>(zeros));
-        }
-        spmd::MemView<Scalar> lanes = d_lanes.view();
-
-        for (std::size_t n0 = 0; n0 < rows; n0 += plan.n_block) {
-          const std::size_t nb = std::min(plan.n_block, rows - n0);
-          const std::size_t slab_begin =
-              detail::halo_begin(xs_host, base + n0, reach);
-          const std::size_t slab_end =
-              detail::halo_end(xs_host, base + n0 + nb - 1, reach);
-          const std::size_t slab = slab_end - slab_begin;
-
-          spmd::DeviceBuffer<Scalar> d_x =
-              device.alloc_global<Scalar>(slab, "x-slab");
-          spmd::DeviceBuffer<Scalar> d_y =
-              device.alloc_global<Scalar>(slab, "y-slab");
-          device.copy_to_device(d_x, xs_host.subspan(slab_begin, slab));
-          device.copy_to_device(d_y, ys_host.subspan(slab_begin, slab));
-          spmd::DeviceBuffer<std::size_t> d_lo =
-              device.alloc_global<std::size_t>(nb, "window-lo");
-          spmd::DeviceBuffer<std::size_t> d_hi =
-              device.alloc_global<std::size_t>(nb, "window-hi");
-          spmd::DeviceBuffer<Scalar> d_sm =
-              device.alloc_global<Scalar>(nb * terms, "moment-s");
-          spmd::DeviceBuffer<Scalar> d_tm =
-              device.alloc_global<Scalar>(nb * terms, "moment-t");
-          spmd::DeviceBuffer<Scalar> d_resid =
-              device.alloc_global<Scalar>(nb * plan.k_block,
-                                          "residual-block");
-
-          std::span<const Scalar> xs = d_x.span();
-          std::span<const Scalar> ys = d_y.span();
-          spmd::MemView<std::size_t> lo_all = d_lo.view();
-          spmd::MemView<std::size_t> hi_all = d_hi.view();
-          spmd::MemView<Scalar> sm_all = d_sm.view();
-          spmd::MemView<Scalar> tm_all = d_tm.view();
-          spmd::MemView<Scalar> resid_all = d_resid.view();
-
-          const spmd::LaunchConfig cfg = spmd::LaunchConfig::cover(nb, tpb);
-          const std::size_t rel0 = base + n0 - slab_begin;
-
-          for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
-            const std::size_t kb = std::min(plan.k_block, k - b0);
-            const std::vector<Scalar> host_block(host_grid.begin() + b0,
-                                                 host_grid.begin() + b0 + kb);
-            spmd::ConstantBuffer<Scalar> c_block =
-                device.upload_constant<Scalar>(host_block,
-                                               "bandwidth-grid-block");
-            spmd::MemView<const Scalar> hs = c_block.view();
-            const bool first = b0 == 0;
-
-            if (lane_width > 1) {
-              // Batched fast path over slab-relative positions; carry and
-              // residuals keyed by the observation's tile-relative index.
-              detail::with_lane_width(lane_width, [&](auto width_c) {
-                constexpr std::size_t C = decltype(width_c)::value;
-                device.launch_lanes("cv_sweep_slice_tile", cfg, C,
-                                    [&, nb, first, rel0](
-                                        const spmd::LaneCtx& t) {
-                  detail::LaneBatch<Scalar, C> st;
-                  st.lanes = 0;
-                  for (std::size_t l = 0; l < t.lanes; ++l) {
-                    const std::size_t r = t.global_base() + l;
-                    if (r < nb) {
-                      st.pos[st.lanes++] = rel0 + r;
-                    }
-                  }
-                  if (st.lanes == 0) {
-                    return;
-                  }
-                  const auto key = [&st, rel0](std::size_t l) {
-                    return st.pos[l] - rel0;
-                  };
-                  if (first) {
-                    detail::batch_seed(st, xs, ys);
-                  } else {
-                    detail::batch_load(st, xs, ys, lo_all, hi_all, sm_all,
-                                       tm_all, terms, key);
-                  }
-                  detail::batch_resume(
-                      st, xs, ys, hs, poly,
-                      [&](std::size_t b, std::size_t l, Scalar sq) {
-                        const std::size_t q = st.pos[l] - rel0;
-                        resid_all[b * nb + q] = sq;
-                      });
-                  detail::batch_store(st, lo_all, hi_all, sm_all, tm_all,
-                                      terms, key);
-                });
-              });
-            } else {
-              device.launch("cv_sweep_slice_tile", cfg,
-                            [&, nb, kb, first, rel0](const spmd::ThreadCtx& t) {
-                const std::size_t r = t.global_idx();
-                if (r >= nb) {
-                  return;
-                }
-                // Slab-relative position: the halo guarantees the slab
-                // never truncates an admission, so the slab-edge guards
-                // decide exactly as the resident full-array guards.
-                const std::size_t pos = rel0 + r;
-                Scalar s_m[SweepPolynomial::kMaxPower + 1] = {};
-                Scalar t_m[SweepPolynomial::kMaxPower + 1] = {};
-                std::size_t lo = 0;
-                std::size_t hi = 0;
-                if (first) {
-                  detail::window_sweep_seed<Scalar>(
-                      ys, pos, lo, hi, std::span<Scalar>(s_m, terms),
-                      std::span<Scalar>(t_m, terms));
-                } else {
-                  lo = lo_all[r];
-                  hi = hi_all[r];
-                  for (std::size_t m = 0; m < terms; ++m) {
-                    s_m[m] = sm_all[r * terms + m];
-                    t_m[m] = tm_all[r * terms + m];
-                  }
-                }
-                detail::window_sweep_resume<Scalar>(
-                    xs, ys, hs, poly, pos, lo, hi,
-                    std::span<Scalar>(s_m, terms),
-                    std::span<Scalar>(t_m, terms),
-                    [&](std::size_t b, Scalar sq) {
-                      resid_all[b * nb + r] = sq;
-                    });
-                lo_all[r] = lo;
-                hi_all[r] = hi;
-                for (std::size_t m = 0; m < terms; ++m) {
-                  sm_all[r * terms + m] = s_m[m];
-                  tm_all[r * terms + m] = t_m[m];
-                }
-              });
-            }
-
-            // Lane accumulation: thread `lane` folds this block's
-            // residuals for slice-local rows ≡ lane (mod lane_dim),
-            // ascending — phase 1 of the per-device resident reduction
-            // continued across n-blocks.
-            device.launch("score_lane_accum", spmd::LaunchConfig{1, lane_dim},
-                          [&, nb, kb, n0, b0](const spmd::ThreadCtx& t) {
-              const std::size_t lane = t.global_idx();
-              const std::size_t start =
-                  detail::first_lane_row(n0, lane, lane_dim);
-              for (std::size_t b = 0; b < kb; ++b) {
-                for (std::size_t r = start; r < nb; r += lane_dim) {
-                  lanes[(b0 + b) * lane_dim + lane] +=
-                      resid_all[b * nb + r];
-                }
-              }
-            });
-          }
-        }
-
-        // Phase-2 replay: one tree reduction per bandwidth, same variant
-        // as the per-device resident reduce_sum.
-        for (std::size_t b = 0; b < k; ++b) {
-          combined[b] += static_cast<double>(detail::lane_tree_reduce<Scalar>(
-              device, lanes, b * lane_dim, lane_dim, config.reduce_variant));
-        }
-        continue;
-      }
-
-      spmd::DeviceBuffer<Scalar> d_x = device.alloc_global<Scalar>(n, "x");
-      spmd::DeviceBuffer<Scalar> d_y = device.alloc_global<Scalar>(n, "y");
-      device.copy_to_device(d_x, std::span<const Scalar>(host_x));
-      device.copy_to_device(d_y, std::span<const Scalar>(host_y));
-
-      spmd::DeviceBuffer<std::size_t> d_lo =
-          device.alloc_global<std::size_t>(rows, "window-lo");
-      spmd::DeviceBuffer<std::size_t> d_hi =
-          device.alloc_global<std::size_t>(rows, "window-hi");
-      spmd::DeviceBuffer<Scalar> d_sm =
-          device.alloc_global<Scalar>(rows * terms, "moment-s");
-      spmd::DeviceBuffer<Scalar> d_tm =
-          device.alloc_global<Scalar>(rows * terms, "moment-t");
-      spmd::DeviceBuffer<Scalar> d_resid =
-          device.alloc_global<Scalar>(rows * plan.k_block, "residual-block");
-
-      std::span<const Scalar> xs = d_x.span();
-      std::span<const Scalar> ys = d_y.span();
-      spmd::MemView<std::size_t> lo_all = d_lo.view();
-      spmd::MemView<std::size_t> hi_all = d_hi.view();
-      spmd::MemView<Scalar> sm_all = d_sm.view();
-      spmd::MemView<Scalar> tm_all = d_tm.view();
-      spmd::MemView<Scalar> resid_all = d_resid.view();
-
-      const spmd::LaunchConfig cfg = spmd::LaunchConfig::cover(rows, tpb);
-
-      for (std::size_t b0 = 0; b0 < k; b0 += plan.k_block) {
-        const std::size_t kb = std::min(plan.k_block, k - b0);
-        const std::vector<Scalar> host_block(host_grid.begin() + b0,
-                                             host_grid.begin() + b0 + kb);
-        spmd::ConstantBuffer<Scalar> c_block = device.upload_constant<Scalar>(
-            host_block, "bandwidth-grid-block");
-        spmd::MemView<const Scalar> hs = c_block.view();
-        const bool first = b0 == 0;
-
-        if (lane_width > 1) {
-          // Batched fast path: carry and residuals keyed by the
-          // observation's slice-relative index.
-          detail::with_lane_width(lane_width, [&](auto width_c) {
-            constexpr std::size_t C = decltype(width_c)::value;
-            device.launch_lanes("cv_sweep_slice_kblock", cfg, C,
-                                [&, base, rows, first](
-                                    const spmd::LaneCtx& t) {
-              detail::LaneBatch<Scalar, C> st;
-              st.lanes = 0;
-              for (std::size_t l = 0; l < t.lanes; ++l) {
-                const std::size_t r = t.global_base() + l;
-                if (r < rows) {
-                  st.pos[st.lanes++] = base + r;
-                }
-              }
-              if (st.lanes == 0) {
-                return;
-              }
-              const auto key = [&st, base](std::size_t l) {
-                return st.pos[l] - base;
-              };
-              if (first) {
-                detail::batch_seed(st, xs, ys);
-              } else {
-                detail::batch_load(st, xs, ys, lo_all, hi_all, sm_all, tm_all,
-                                   terms, key);
-              }
-              detail::batch_resume(
-                  st, xs, ys, hs, poly,
-                  [&](std::size_t b, std::size_t l, Scalar sq) {
-                    const std::size_t q = st.pos[l] - base;
-                    resid_all[b * rows + q] = sq;
-                  });
-              detail::batch_store(st, lo_all, hi_all, sm_all, tm_all, terms,
-                                  key);
-            });
-          });
-        } else {
-          device.launch("cv_sweep_slice_kblock", cfg,
-                        [&, base, rows, kb, first](const spmd::ThreadCtx& t) {
-            const std::size_t r = t.global_idx();
-            if (r >= rows) {
-              return;
-            }
-            const std::size_t pos = base + r;
-            Scalar s_m[SweepPolynomial::kMaxPower + 1] = {};
-            Scalar t_m[SweepPolynomial::kMaxPower + 1] = {};
-            std::size_t lo = 0;
-            std::size_t hi = 0;
-            if (first) {
-              detail::window_sweep_seed<Scalar>(ys, pos, lo, hi,
-                                                std::span<Scalar>(s_m, terms),
-                                                std::span<Scalar>(t_m, terms));
-            } else {
-              lo = lo_all[r];
-              hi = hi_all[r];
-              for (std::size_t m = 0; m < terms; ++m) {
-                s_m[m] = sm_all[r * terms + m];
-                t_m[m] = tm_all[r * terms + m];
-              }
-            }
-            detail::window_sweep_resume<Scalar>(
-                xs, ys, hs, poly, pos, lo, hi, std::span<Scalar>(s_m, terms),
-                std::span<Scalar>(t_m, terms), [&](std::size_t b, Scalar sq) {
-                  resid_all[b * rows + r] = sq;
-                });
-            lo_all[r] = lo;
-            hi_all[r] = hi;
-            for (std::size_t m = 0; m < terms; ++m) {
-              sm_all[r * terms + m] = s_m[m];
-              tm_all[r * terms + m] = t_m[m];
-            }
-          });
-        }
-
-        for (std::size_t b = 0; b < kb; ++b) {
-          combined[b0 + b] += static_cast<double>(spmd::reduce_sum<Scalar>(
-              device, resid_all.subview(b * rows, rows), tpb,
-              config.reduce_variant));
-        }
-      }
-    }
-  }
-
-  // Per-row-sort path (the paper-faithful baseline): skipped entirely when
-  // the window algorithm ran above.
-  for (std::size_t d = 0; !window && d < slices.size(); ++d) {
+  // Each device sweeps its contiguous slice of positions. Window path: the
+  // one tile loop with the tile plan sized to that device's own budget
+  // (resident = one tile per slice). Slices always reduce bandwidth-major;
+  // only the per-bandwidth slice totals leave the device, and every shard
+  // shape is bitwise identical to the resident sweep.
+  SpmdSelectorConfig slice_config = config;
+  slice_config.layout = ResidualLayout::kBandwidthMajor;
+  for (std::size_t d = 0; d < slices.size(); ++d) {
     spmd::Device& device = *devices[d];
-    const parallel::BlockedRange slice = slices[d];
-    const std::size_t rows = slice.size();
+    const std::size_t base = slices[d].begin;
+    const std::size_t rows = slices[d].size();
     const std::size_t tpb = std::min(
         config.threads_per_block, device.properties().max_threads_per_block);
+    if (window) {
+      const detail::WindowTileModel model{
+          .n = n, .rows = rows, .k = k, .elem = sizeof(Scalar),
+          .terms = poly.max_power + 1,
+          .lane_dim = spmd::detail::reduction_block_dim(device, tpb)};
+      const StreamingPlan plan = detail::plan_window_tiles<Scalar>(
+          device, config.stream, model, std::span<const Scalar>(host_x), base,
+          host_grid.back(), model.bytes(rows, k));
+      const std::vector<Scalar> totals = detail::run_window_tiles<Scalar>(
+          device, slice_config, std::span<const Scalar>(host_x),
+          std::span<const Scalar>(host_y), base, rows, host_grid, plan);
+      for (std::size_t b = 0; b < k; ++b) {
+        combined[b] += static_cast<double>(totals[b]);
+      }
+      continue;
+    }
 
-    // Device-side data: the full X/Y (distances need every observation),
-    // the grid in constant memory, and slice-sized working matrices.
+    // Per-row-sort path (the paper-faithful baseline). Device-side data:
+    // the full X/Y (distances need every observation), the grid in constant
+    // memory, and slice-sized working matrices.
     spmd::ConstantBuffer<Scalar> c_grid =
         device.upload_constant<Scalar>(host_grid, "bandwidth-grid");
     spmd::DeviceBuffer<Scalar> d_x = device.alloc_global<Scalar>(n, "x");
@@ -475,7 +160,6 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
     // Main kernel over this device's slice; residuals are written
     // bandwidth-major within the slice (k groups of `rows`).
     const spmd::LaunchConfig cfg = spmd::LaunchConfig::cover(rows, tpb);
-    const std::size_t base = slice.begin;
     device.launch("cv_sweep_slice", cfg,
                   [&, base, rows, n, k](const spmd::ThreadCtx& t) {
       const std::size_t r = t.global_idx();
@@ -568,28 +252,7 @@ std::string MultiDeviceGridSelector::name() const {
   n += to_string(config_.kernel);
   n += ",";
   n += to_string(config_.precision);
-  if (config_.streaming) {
-    n += ",streaming";
-  }
-  if (config_.algorithm == SweepAlgorithm::kWindow) {
-    n += ",window";
-  }
-  if (config_.stream.k_block != 0) {
-    n += ",kblock=" + std::to_string(config_.stream.k_block);
-  }
-  if (config_.stream.n_block != 0) {
-    n += ",nblock=" + std::to_string(config_.stream.n_block);
-  }
-  if (config_.stream.memory_budget_bytes != 0) {
-    n += ",budget=" + std::to_string(config_.stream.memory_budget_bytes);
-  }
-  if (config_.algorithm == SweepAlgorithm::kWindow) {
-    const std::size_t lanes =
-        resolve_lane_width(config_.lane_width, config_.precision);
-    if (lanes > 1) {
-      n += ",lanes=" + std::to_string(lanes);
-    }
-  }
+  n += detail::selector_config_suffix(config_);
   n += ")";
   return n;
 }

@@ -167,7 +167,7 @@ SelectionResult run_streamed_kde_selection(
 }
 
 /// The 2-D (n-block × k-block) tiled KDE sweep: the LSCV counterpart of the
-/// regression selector's run_streamed_2d_window_selection. Observations tile
+/// regression sweep's tile loop (detail::run_window_tiles). Observations tile
 /// into n-blocks, each uploading only a halo-padded slab of the sorted X —
 /// the halo reach is the widest admission of either window at h_max, i.e.
 /// max(K, K̄ support scale)·h_max — and carrying both windows' moment sums

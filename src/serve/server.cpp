@@ -45,6 +45,30 @@ std::vector<std::size_t> neighbor_grid_from_spec(const GridSpec& spec) {
   return grid;
 }
 
+/// Longest request line a connection may buffer: far above any valid
+/// select, and a bound on what a client that never sends a newline can
+/// make the daemon hold.
+constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
+/// Writes all of `response`; false when the client is gone. MSG_NOSIGNAL:
+/// a client that hung up before reading its response gets EPIPE here
+/// instead of a SIGPIPE that would kill the daemon.
+bool send_all(int fd, const std::string& response) {
+  std::size_t sent = 0;
+  while (sent < response.size()) {
+    const ssize_t wrote = ::send(fd, response.data() + sent,
+                                 response.size() - sent, MSG_NOSIGNAL);
+    if (wrote < 0 && errno == EINTR) {
+      continue;
+    }
+    if (wrote <= 0) {
+      return false;
+    }
+    sent += static_cast<std::size_t>(wrote);
+  }
+  return true;
+}
+
 }  // namespace
 
 ServeContext::ServeContext(SchedulerConfig config)
@@ -225,27 +249,24 @@ void Server::handle_connection(int fd) {
       break;
     }
     buffer.append(chunk, static_cast<std::size_t>(got));
-    std::size_t newline = 0;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
+    for (;;) {
+      const std::size_t newline = buffer.find('\n');
+      const std::size_t line_bytes =
+          newline == std::string::npos ? buffer.size() : newline;
+      if (line_bytes > kMaxLineBytes) {
+        (void)send_all(fd, format_error("line too long") + "\n");
+        ::close(fd);
+        return;
+      }
+      if (newline == std::string::npos) {
+        break;
+      }
       const std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
       bool shutdown = false;
-      std::string response = context_.handle_line(line, &shutdown);
-      response.push_back('\n');
-      // MSG_NOSIGNAL: a client that hung up before reading its response
-      // gets EPIPE here instead of a SIGPIPE that would kill the daemon.
-      std::size_t sent = 0;
-      while (sent < response.size()) {
-        const ssize_t wrote = ::send(fd, response.data() + sent,
-                                     response.size() - sent, MSG_NOSIGNAL);
-        if (wrote < 0 && errno == EINTR) {
-          continue;
-        }
-        if (wrote <= 0) {
-          ::close(fd);
-          return;
-        }
-        sent += static_cast<std::size_t>(wrote);
+      if (!send_all(fd, context_.handle_line(line, &shutdown) + "\n")) {
+        ::close(fd);
+        return;
       }
       if (shutdown) {
         ::close(fd);

@@ -47,11 +47,15 @@ std::vector<double> test_grid(std::size_t k = 24) {
   return BandwidthGrid(0.05, 1.2, k).values();
 }
 
+// Bit-pattern equality: EXPECT_DOUBLE_EQ would forgive 4 ulp.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 void expect_bitwise_profiles(const std::vector<double>& got,
                              const std::vector<double>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t b = 0; b < want.size(); ++b) {
-    EXPECT_DOUBLE_EQ(got[b], want[b]) << "b=" << b;
+    EXPECT_EQ(bits(got[b]), bits(want[b]))
+        << "b=" << b << ": " << got[b] << " vs " << want[b];
   }
 }
 
@@ -311,12 +315,9 @@ SpmdSelectorConfig device_cfg(std::size_t lane_width,
 
 void expect_same_selection(const SelectionResult& got,
                            const SelectionResult& want) {
-  EXPECT_DOUBLE_EQ(got.bandwidth, want.bandwidth);
-  EXPECT_DOUBLE_EQ(got.cv_score, want.cv_score);
-  ASSERT_EQ(got.scores.size(), want.scores.size());
-  for (std::size_t b = 0; b < want.scores.size(); ++b) {
-    EXPECT_DOUBLE_EQ(got.scores[b], want.scores[b]) << "b=" << b;
-  }
+  EXPECT_EQ(bits(got.bandwidth), bits(want.bandwidth));
+  EXPECT_EQ(bits(got.cv_score), bits(want.cv_score));
+  expect_bitwise_profiles(got.scores, want.scores);
 }
 
 // n = 700 with tpb = 512 gives a full block plus a ragged 188-row block, so
@@ -456,16 +457,6 @@ TEST(MultiDeviceBatchedParity, ResidentAndStreamedBitwise) {
 // generic path. Either way every profile must equal the C = 1 profile bit
 // for bit, so these checks compare bit patterns, not values.
 
-void expect_bit_identical(const std::vector<double>& got,
-                          const std::vector<double>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t b = 0; b < want.size(); ++b) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[b]),
-              std::bit_cast<std::uint64_t>(want[b]))
-        << "b=" << b << " got=" << got[b] << " want=" << want[b];
-  }
-}
-
 std::vector<double> float_host_profile(const Dataset& data,
                                        const std::vector<double>& grid,
                                        KernelType kernel,
@@ -490,7 +481,7 @@ TEST(FloatZmmParity, EverySweepableKernelBitwise) {
     }
     term_counts.push_back(kreg::sweep_polynomial(kernel).max_power + 1);
     SCOPED_TRACE(std::string(kreg::to_string(kernel)));
-    expect_bit_identical(float_host_profile(data, grid, kernel, 16),
+    expect_bitwise_profiles(float_host_profile(data, grid, kernel, 16),
                          float_host_profile(data, grid, kernel, 1));
   }
   std::sort(term_counts.begin(), term_counts.end());
@@ -505,10 +496,10 @@ TEST(FloatZmmParity, TinyNEveryLengthBitwise) {
   for (std::size_t n = 1; n <= 40; ++n) {
     const Dataset data = paper_data(n, 500 + n);
     SCOPED_TRACE("n=" + std::to_string(n));
-    expect_bit_identical(
+    expect_bitwise_profiles(
         float_host_profile(data, grid, KernelType::kEpanechnikov, 16),
         float_host_profile(data, grid, KernelType::kEpanechnikov, 1));
-    expect_bit_identical(
+    expect_bitwise_profiles(
         float_host_profile(data, grid, KernelType::kTriweight, 16),
         float_host_profile(data, grid, KernelType::kTriweight, 1));
   }
@@ -523,7 +514,7 @@ TEST(FloatZmmParity, WideGridGatherFallbackBitwise) {
   BatchRunStats stats;
   const std::vector<double> got = float_host_profile(
       data, grid, KernelType::kBiweight, 16, &stats);
-  expect_bit_identical(
+  expect_bitwise_profiles(
       got, float_host_profile(data, grid, KernelType::kBiweight, 1));
   EXPECT_GT(stats.gather_steps, 0u);
   EXPECT_GT(stats.contig_steps, 0u);
@@ -538,7 +529,7 @@ TEST(FloatZmmParity, PaperShapeMostlyContiguous) {
   BatchRunStats stats;
   const std::vector<double> got = float_host_profile(
       data, grid, KernelType::kEpanechnikov, 0, &stats);
-  expect_bit_identical(
+  expect_bitwise_profiles(
       got, float_host_profile(data, grid, KernelType::kEpanechnikov, 1));
   EXPECT_GT(stats.contig_steps, stats.gather_steps);
 }
@@ -563,7 +554,7 @@ TEST(FloatZmmParity, DevicePlansBitwise) {
       const SelectionResult got =
           SpmdGridSelector(dev, cfg).select(data, grid);
       SCOPED_TRACE(SpmdGridSelector(dev, cfg).name());
-      expect_bit_identical(got.scores, want.scores);
+      expect_bitwise_profiles(got.scores, want.scores);
     }
   }
 }

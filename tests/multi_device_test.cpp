@@ -3,7 +3,10 @@
 // with streaming mode.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "core/grid.hpp"
 #include "core/multi_device_selector.hpp"
@@ -71,16 +74,45 @@ TEST(MultiDevice, MatchesHostReferenceWithThreeDevices) {
   }
 }
 
+// A one-device list is the single-device selector: the same tile loop over
+// the same rows, so the bandwidth and every score agree bit for bit on
+// every plan shape, precision and lane width.
 TEST(MultiDevice, SingleDeviceListBehavesLikeSpmdSelector) {
-  Device dev;
-  Device reference_dev;
-  const Dataset d = paper_data(150, 3);
-  const BandwidthGrid grid = BandwidthGrid::default_for(d, 12);
-  const auto multi =
-      MultiDeviceGridSelector({&dev}, double_cfg()).select(d, grid);
-  const auto single =
-      kreg::SpmdGridSelector(reference_dev, double_cfg()).select(d, grid);
-  EXPECT_DOUBLE_EQ(multi.bandwidth, single.bandwidth);
+  const Dataset d = paper_data(701, 3);
+  const BandwidthGrid grid = BandwidthGrid::default_for(d, 23);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  struct Blocks {
+    std::size_t n_block;
+    std::size_t k_block;
+  };
+  for (const Blocks blocks : {Blocks{0, 0}, Blocks{0, 5}, Blocks{96, 5},
+                              Blocks{128, 0}}) {
+    for (const Precision precision : {Precision::kFloat, Precision::kDouble}) {
+      for (const std::size_t lane_width : {0u, 1u}) {
+        SpmdSelectorConfig cfg;
+        cfg.precision = precision;
+        cfg.lane_width = lane_width;
+        cfg.stream.n_block = blocks.n_block;
+        cfg.stream.k_block = blocks.k_block;
+        SCOPED_TRACE("n_block=" + std::to_string(blocks.n_block) +
+                     " k_block=" + std::to_string(blocks.k_block) +
+                     " precision=" + std::string(kreg::to_string(precision)) +
+                     " lane_width=" + std::to_string(lane_width));
+        Device dev;
+        Device reference_dev;
+        const auto multi = MultiDeviceGridSelector({&dev}, cfg).select(d, grid);
+        const auto single =
+            kreg::SpmdGridSelector(reference_dev, cfg).select(d, grid);
+        EXPECT_EQ(bits(multi.bandwidth), bits(single.bandwidth));
+        ASSERT_EQ(multi.scores.size(), single.scores.size());
+        for (std::size_t b = 0; b < single.scores.size(); ++b) {
+          EXPECT_EQ(bits(multi.scores[b]), bits(single.scores[b]))
+              << "b=" << b << ": " << multi.scores[b] << " vs "
+              << single.scores[b];
+        }
+      }
+    }
+  }
 }
 
 TEST(MultiDevice, TwoDevicesRoughlyHalveTheFootprint) {

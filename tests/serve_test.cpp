@@ -1103,4 +1103,35 @@ TEST(ServerTest, ClientHangupDoesNotKillTheDaemon) {
   loop.join();
 }
 
+// A client that streams bytes without a newline must not grow the
+// daemon's line buffer without bound: past the 64 KiB line cap it gets a
+// typed error and its connection closes, and the daemon serves the next
+// client as usual.
+TEST(ServerTest, OverlongLineGetsAnErrorAndTheDaemonLives) {
+  kreg::serve::ServerConfig config;
+  config.socket_path = ::testing::TempDir() + "kreg_overlong_" +
+                       std::to_string(::getpid()) + ".sock";
+  config.scheduler = pumpable_config();
+  kreg::serve::Server server(config);
+  std::thread loop([&server] { server.run(); });
+
+  const int flooder = connect_unix(config.socket_path);
+  ASSERT_GE(flooder, 0);
+  const std::string flood(70 * 1024, 'x');  // no newline anywhere
+  EXPECT_EQ(::send(flooder, flood.data(), flood.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(flood.size()));
+  EXPECT_EQ(read_line(flooder), "error line too long");
+  ::close(flooder);
+
+  const int client = connect_unix(config.socket_path);
+  ASSERT_GE(client, 0);
+  ASSERT_TRUE(send_line(client, "select n=128 seed=5 grid=0.05:1.0:12"));
+  const std::string response = read_line(client);
+  EXPECT_EQ(response.rfind("ok ", 0), 0u) << response;
+  ASSERT_TRUE(send_line(client, "shutdown"));
+  EXPECT_EQ(read_line(client), "ok shutting down");
+  ::close(client);
+  loop.join();
+}
+
 }  // namespace

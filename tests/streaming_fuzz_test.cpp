@@ -14,7 +14,9 @@
 // the iteration's full parameter draw.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -106,14 +108,18 @@ FuzzDraw draw_problem(Stream& s) {
   return d;
 }
 
+// Bit-pattern equality: EXPECT_DOUBLE_EQ would forgive 4 ulp.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 void expect_bitwise(const SelectionResult& streamed,
                     const SelectionResult& resident, const std::string& what) {
-  EXPECT_DOUBLE_EQ(streamed.bandwidth, resident.bandwidth) << what;
-  EXPECT_DOUBLE_EQ(streamed.cv_score, resident.cv_score) << what;
+  EXPECT_EQ(bits(streamed.bandwidth), bits(resident.bandwidth)) << what;
+  EXPECT_EQ(bits(streamed.cv_score), bits(resident.cv_score)) << what;
   ASSERT_EQ(streamed.scores.size(), resident.scores.size()) << what;
   for (std::size_t b = 0; b < resident.scores.size(); ++b) {
-    EXPECT_DOUBLE_EQ(streamed.scores[b], resident.scores[b])
-        << what << " b=" << b;
+    EXPECT_EQ(bits(streamed.scores[b]), bits(resident.scores[b]))
+        << what << " b=" << b << ": " << streamed.scores[b] << " vs "
+        << resident.scores[b];
   }
 }
 

@@ -5,7 +5,9 @@
 // cache-blocked host kernel, and the memory-cliff lifts under small budgets.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 
@@ -61,13 +63,18 @@ SpmdSelectorConfig resident_cfg(Precision precision = Precision::kDouble) {
   return cfg;
 }
 
+// Bit-pattern equality: EXPECT_DOUBLE_EQ would forgive 4 ulp.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 void expect_same_selection(const SelectionResult& streamed,
                            const SelectionResult& resident) {
-  EXPECT_DOUBLE_EQ(streamed.bandwidth, resident.bandwidth);
-  EXPECT_DOUBLE_EQ(streamed.cv_score, resident.cv_score);
+  EXPECT_EQ(bits(streamed.bandwidth), bits(resident.bandwidth));
+  EXPECT_EQ(bits(streamed.cv_score), bits(resident.cv_score));
   ASSERT_EQ(streamed.scores.size(), resident.scores.size());
   for (std::size_t b = 0; b < resident.scores.size(); ++b) {
-    EXPECT_DOUBLE_EQ(streamed.scores[b], resident.scores[b]) << "b=" << b;
+    EXPECT_EQ(bits(streamed.scores[b]), bits(resident.scores[b]))
+        << "b=" << b << ": " << streamed.scores[b] << " vs "
+        << resident.scores[b];
   }
 }
 
@@ -554,7 +561,8 @@ TEST(StreamedSelector, AutoStreamsPastTheResidentCliff) {
   const SelectionResult streamed = SpmdGridSelector(dev, cfg).select(d, grid);
   EXPECT_LE(dev.global_peak(), cap);
 
-  Device ref;
+  // Same block shape as the streaming device: the same reduction tree.
+  Device ref(DeviceProperties::tiny(std::size_t{1} << 30));
   expect_same_selection(streamed,
                         SpmdGridSelector(ref, resident_cfg()).select(d, grid));
 }
@@ -682,7 +690,8 @@ TEST(NStreamedSelector, StreamsWhereTheResidentCarryAllocFails) {
   const SelectionResult streamed = SpmdGridSelector(dev, cfg).select(d, grid);
   EXPECT_LE(dev.global_peak(), cap);
 
-  Device ref;
+  // Same block shape as the streaming device: the same reduction tree.
+  Device ref(DeviceProperties::tiny(std::size_t{1} << 30));
   expect_same_selection(streamed,
                         SpmdGridSelector(ref, resident_cfg()).select(d, grid));
 }
@@ -741,7 +750,8 @@ TEST(StreamedKde, AutoStreamsPastTheResidentCliff) {
   const SelectionResult streamed = SpmdKdeSelector(dev).select(xs, grid);
   EXPECT_LE(dev.global_peak(), cap);
 
-  Device ref;
+  // Same block shape as the streaming device: the same reduction tree.
+  Device ref(DeviceProperties::tiny(std::size_t{1} << 30));
   SpmdKdeConfig base;
   base.stream.auto_tune = false;
   expect_same_selection(streamed, SpmdKdeSelector(ref, base).select(xs, grid));
@@ -809,7 +819,8 @@ TEST(NStreamedKde, StreamsWhereTheResidentCarryAllocFails) {
   const SelectionResult streamed = SpmdKdeSelector(dev).select(xs, grid);
   EXPECT_LE(dev.global_peak(), cap);
 
-  Device ref;
+  // Same block shape as the streaming device: the same reduction tree.
+  Device ref(DeviceProperties::tiny(std::size_t{1} << 30));
   SpmdKdeConfig base;
   base.stream.auto_tune = false;
   expect_same_selection(streamed, SpmdKdeSelector(ref, base).select(xs, grid));
@@ -879,7 +890,8 @@ TEST(StreamedMultiDevice, HeterogeneousBudgetsStreamPerDevice) {
   EXPECT_LE(tiny.global_peak(), 160u * 1024);
 
   Device ra;
-  Device rb;
+  // Same block shape as the streaming device: the same reduction tree.
+  Device rb(DeviceProperties::tiny(std::size_t{1} << 30));
   expect_same_selection(
       mixed,
       MultiDeviceGridSelector({&ra, &rb}, resident_cfg()).select(d, grid));
@@ -953,8 +965,9 @@ TEST(NStreamedMultiDevice, TinyDevicesNStreamUnderTheirCaps) {
   EXPECT_LE(a.global_peak(), cap);
   EXPECT_LE(b.global_peak(), cap);
 
-  Device ra;
-  Device rb;
+  // Same block shape as the streaming device: the same reduction tree.
+  Device ra(DeviceProperties::tiny(std::size_t{1} << 30));
+  Device rb(DeviceProperties::tiny(std::size_t{1} << 30));
   expect_same_selection(
       streamed,
       MultiDeviceGridSelector({&ra, &rb}, resident_cfg()).select(d, grid));

@@ -2,15 +2,15 @@
 // named production launch on the SPMD device.
 //
 // Each scenario drives one production backend (regression window sweep in
-// its scalar / lane-batched / k-block streamed / 2-D tiled forms, the KDE
-// LSCV sweep, the k-NN LOOCV sweep, the OSCV sweep) on a SymbolicDevice,
-// which traces every launch serially through the sanitizer's shadows and
-// proves its access families disjoint over two symbolic thread identities
-// (see src/spmd/verify/). Every scenario runs TWICE on different datasets:
-// a launch whose conflict-relevant trace fingerprint differs across runs
-// has data-dependent addressing, and its "verified" is demoted to
-// "unproven" — the dynamic sanitizer (ctest -L sanitize) remains the
-// coverage for those.
+// its scalar / lane-batched / k-block streamed / 2-D tiled / multi-device
+// forms, the KDE LSCV sweep, the k-NN LOOCV sweep, the OSCV sweep) on a
+// SymbolicDevice, which traces every launch serially through the
+// sanitizer's shadows and proves its access families disjoint over two
+// symbolic thread identities (see src/spmd/verify/). Every scenario runs
+// TWICE on different datasets: a launch whose conflict-relevant trace
+// fingerprint differs across runs has data-dependent addressing, and its
+// "verified" is demoted to "unproven" — the dynamic sanitizer
+// (ctest -L sanitize) remains the coverage for those.
 //
 // Modes:
 //   kreg_verify                      print the per-launch ledger
@@ -32,6 +32,7 @@
 
 #include "core/grid.hpp"
 #include "core/knn_sweep.hpp"
+#include "core/multi_device_selector.hpp"
 #include "core/oscv_sweep.hpp"
 #include "core/spmd_kde.hpp"
 #include "core/spmd_selector.hpp"
@@ -43,6 +44,7 @@ namespace {
 
 using kreg::BandwidthGrid;
 using kreg::KernelType;
+using kreg::MultiDeviceGridSelector;
 using kreg::Precision;
 using kreg::SpmdGridSelector;
 using kreg::SpmdKdeConfig;
@@ -91,6 +93,16 @@ std::vector<Scenario> scenarios() {
   SpmdSelectorConfig tiled = scalar;
   tiled.stream.k_block = 5;
   tiled.stream.n_block = 96;
+  // Two slices, both traced on the scenario's one device.
+  const auto regress_multi = [](SpmdSelectorConfig cfg) {
+    return [cfg](SymbolicDevice& dev, const Dataset& d) {
+      const BandwidthGrid grid = BandwidthGrid::default_for(d, 12);
+      (void)MultiDeviceGridSelector({&dev, &dev}, cfg).select(d, grid);
+    };
+  };
+  SpmdSelectorConfig multi_tiled = scalar;
+  multi_tiled.stream.k_block = 5;
+  multi_tiled.stream.n_block = 48;
 
   const auto kde = [](SpmdKdeConfig cfg) {
     return [cfg](SymbolicDevice& dev, const Dataset& d) {
@@ -131,6 +143,8 @@ std::vector<Scenario> scenarios() {
       {"regress_batched_c16_float", regress(batched_c16_float)},
       {"regress_kblock_streamed", regress(kblock)},
       {"regress_2d_tiled", regress(tiled)},
+      {"regress_multi_device", regress_multi(scalar)},
+      {"regress_multi_device_2d_tiled", regress_multi(multi_tiled)},
       {"kde_resident", kde(kde_resident)},
       {"kde_kblock_streamed", kde(kde_kblock)},
       {"kde_2d_tiled", kde(kde_tiled)},
