@@ -558,10 +558,10 @@ inline void window_sweep_thread(std::span<const Scalar> xs_sorted,
 /// caller combines them into LSCV partials in whatever layout it wants.
 ///
 /// Like the regression sweep above, the body is split for k-block
-/// streaming: `kde_window_sweep_resume` carries the two WindowMomentSweep
-/// states in caller storage and sweeps any ascending slice of the grid,
-/// continuing where the previous slice stopped — streamed LSCV partials
-/// match the resident ones bitwise.
+/// streaming: the caller seeds the two WindowMomentSweep states (or loads
+/// them from carry storage) and `kde_window_sweep_resume` sweeps any
+/// ascending slice of the grid, continuing where the previous slice
+/// stopped — streamed LSCV partials match the resident ones bitwise.
 template <class HView, class WriteSums>
 inline void kde_window_sweep_resume(std::span<const double> xs_sorted,
                                     HView hs,
@@ -579,22 +579,6 @@ inline void kde_window_sweep_resume(std::span<const double> xs_sorted,
     loo_sweep.expand(xs_sorted, xi, kpoly.support_scale * h, max_power);
     write(b, conv_sweep.combine(cpoly, h), loo_sweep.combine(kpoly, h));
   }
-}
-
-/// The whole-grid KDE window sweep: seeds both admission windows and
-/// resumes over all k bandwidths with thread-local state.
-template <class HView, class WriteSums>
-inline void kde_window_sweep_thread(std::span<const double> xs_sorted,
-                                    HView hs,
-                                    const SupportPolynomial& kpoly,
-                                    const SupportPolynomial& cpoly,
-                                    std::size_t pos, WriteSums&& write) {
-  WindowMomentSweep conv_sweep;  // admits |Δ| <= 2h
-  WindowMomentSweep loo_sweep;   // admits |Δ| <= h
-  conv_sweep.seed(pos);
-  loo_sweep.seed(pos);
-  kde_window_sweep_resume(xs_sorted, hs, kpoly, cpoly, pos, conv_sweep,
-                          loo_sweep, std::forward<WriteSums>(write));
 }
 
 }  // namespace kreg::detail

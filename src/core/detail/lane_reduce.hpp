@@ -21,7 +21,7 @@ namespace kreg::detail {
 /// Carrying the *lane accumulators* instead does: keep k×D per-(bandwidth,
 /// lane) partials resident on the device, have each n-block add its
 /// residuals into lane (global observation index mod D) in ascending order
-/// (`score_lane_accum` at the call sites), and replay phase 2's exact tree
+/// (`lane_accumulate`), and replay phase 2's exact tree
 /// schedule once at the end — the sequence of additions each lane and each
 /// tree node performs is then identical to the resident reduction for ANY
 /// n-block size, so the streamed profile is bitwise identical to the
@@ -106,6 +106,31 @@ Scalar strided_score_reduce(spmd::Device& device,
 inline std::size_t first_lane_row(std::size_t origin, std::size_t lane,
                                   std::size_t block_dim) noexcept {
   return (lane + block_dim - origin % block_dim) % block_dim;
+}
+
+/// Phase 1 of the resident reduction continued across n-blocks: one
+/// `score_lane_accum` launch in which thread `lane` folds a block's values
+/// for rows ≡ lane (mod block_dim) — ascending, element by element, the
+/// block's first row being row `origin` of the sweep — straight into the
+/// carried accumulators of bandwidths [b0, b0 + kb). `values` holds the
+/// block's rows×kb values bandwidth-major (b * rows + r) or
+/// observation-major (r * kb + b).
+template <class Scalar>
+void lane_accumulate(spmd::Device& device, spmd::MemView<Scalar> lanes,
+                     spmd::MemView<Scalar> values, std::size_t rows,
+                     std::size_t kb, bool bandwidth_major, std::size_t origin,
+                     std::size_t b0, std::size_t block_dim) {
+  device.launch("score_lane_accum", spmd::LaunchConfig{1, block_dim},
+                [&](const spmd::ThreadCtx& t) {
+    const std::size_t lane = t.global_idx();
+    const std::size_t start = first_lane_row(origin, lane, block_dim);
+    for (std::size_t b = 0; b < kb; ++b) {
+      for (std::size_t r = start; r < rows; r += block_dim) {
+        lanes[(b0 + b) * block_dim + lane] +=
+            values[bandwidth_major ? b * rows + r : r * kb + b];
+      }
+    }
+  });
 }
 
 }  // namespace kreg::detail

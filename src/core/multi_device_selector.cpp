@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/batched_sweep.hpp"
-#include "core/detail/device_sweep.hpp"
 #include "core/detail/window_tiles.hpp"
 #include "core/window_sweep.hpp"
 #include "parallel/blocked_range.hpp"
@@ -45,12 +44,7 @@ std::size_t MultiDeviceGridSelector::estimated_bytes_per_device(
         .terms = sweep_polynomial(kernel).max_power + 1};
     return model.bytes(slice, k_block == 0 ? k : std::min(k_block, k));
   }
-  // Full x + y replicated, plus slice-sized matrices and per-device scores.
-  std::size_t elems = 2 * n + k + 3 * slice * k;
-  if (!streaming) {
-    elems += 2 * slice * n;
-  }
-  return elems * elem;
+  return detail::per_row_bytes(n, slice, k, elem, streaming);
 }
 
 namespace {
@@ -63,25 +57,14 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
                                  std::string method_name) {
   const std::size_t n = data.size();
   const std::size_t k = grid.size();
-  const SweepPolynomial poly = sweep_polynomial(config.kernel);
-  const bool streaming = config.streaming;
-
   const bool window = config.algorithm == SweepAlgorithm::kWindow;
 
-  std::vector<Scalar> host_x(n);
-  std::vector<Scalar> host_y(n);
-  if (window) {
-    // One global sort on the host; every device indexes the same sorted
-    // arrays, each sweeping its contiguous slice of *positions*.
-    SortedDataset<Scalar> sorted = sort_dataset<Scalar>(data.x, data.y);
-    host_x = std::move(sorted.x);
-    host_y = std::move(sorted.y);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      host_x[i] = static_cast<Scalar>(data.x[i]);
-      host_y[i] = static_cast<Scalar>(data.y[i]);
-    }
-  }
+  // Window path: one global sort on the host; every device indexes the same
+  // sorted arrays, each sweeping its contiguous slice of *positions*.
+  const SortedDataset<Scalar> host =
+      detail::stage_dataset<Scalar>(data, window);
+  const std::span<const Scalar> host_x(host.x);
+  const std::span<const Scalar> host_y(host.y);
   std::vector<Scalar> host_grid(k);
   for (std::size_t b = 0; b < k; ++b) {
     host_grid[b] = static_cast<Scalar>(grid[b]);
@@ -93,108 +76,37 @@ SelectionResult run_multi_device(const std::vector<spmd::Device*>& devices,
   // Combined per-bandwidth sums of squared residuals across devices.
   std::vector<double> combined(k, 0.0);
 
-  // Each device sweeps its contiguous slice of positions. Window path: the
-  // one tile loop with the tile plan sized to that device's own budget
-  // (resident = one tile per slice). Slices always reduce bandwidth-major;
-  // only the per-bandwidth slice totals leave the device, and every shard
-  // shape is bitwise identical to the resident sweep.
+  // Each device sweeps its contiguous slice of rows with the single-device
+  // sweep: the window tile loop with the tile plan sized to that device's
+  // own budget (resident = one tile per slice), or the per-row-sort sweep.
+  // Slices always reduce bandwidth-major; only the per-bandwidth slice
+  // totals leave the device, and every shard shape is bitwise identical to
+  // the resident sweep.
   SpmdSelectorConfig slice_config = config;
   slice_config.layout = ResidualLayout::kBandwidthMajor;
   for (std::size_t d = 0; d < slices.size(); ++d) {
     spmd::Device& device = *devices[d];
     const std::size_t base = slices[d].begin;
     const std::size_t rows = slices[d].size();
-    const std::size_t tpb = std::min(
-        config.threads_per_block, device.properties().max_threads_per_block);
+    std::vector<Scalar> totals;
     if (window) {
+      const std::size_t tpb = std::min(
+          config.threads_per_block, device.properties().max_threads_per_block);
       const detail::WindowTileModel model{
           .n = n, .rows = rows, .k = k, .elem = sizeof(Scalar),
-          .terms = poly.max_power + 1,
+          .terms = sweep_polynomial(config.kernel).max_power + 1,
           .lane_dim = spmd::detail::reduction_block_dim(device, tpb)};
       const StreamingPlan plan = detail::plan_window_tiles<Scalar>(
-          device, config.stream, model, std::span<const Scalar>(host_x), base,
-          host_grid.back(), model.bytes(rows, k));
-      const std::vector<Scalar> totals = detail::run_window_tiles<Scalar>(
-          device, slice_config, std::span<const Scalar>(host_x),
-          std::span<const Scalar>(host_y), base, rows, host_grid, plan);
-      for (std::size_t b = 0; b < k; ++b) {
-        combined[b] += static_cast<double>(totals[b]);
-      }
-      continue;
-    }
-
-    // Per-row-sort path (the paper-faithful baseline). Device-side data:
-    // the full X/Y (distances need every observation), the grid in constant
-    // memory, and slice-sized working matrices.
-    spmd::ConstantBuffer<Scalar> c_grid =
-        device.upload_constant<Scalar>(host_grid, "bandwidth-grid");
-    spmd::DeviceBuffer<Scalar> d_x = device.alloc_global<Scalar>(n, "x");
-    spmd::DeviceBuffer<Scalar> d_y = device.alloc_global<Scalar>(n, "y");
-    device.copy_to_device(d_x, std::span<const Scalar>(host_x));
-    device.copy_to_device(d_y, std::span<const Scalar>(host_y));
-
-    spmd::DeviceBuffer<Scalar> d_dist;
-    spmd::DeviceBuffer<Scalar> d_ymat;
-    if (!streaming) {
-      d_dist = device.alloc_global<Scalar>(rows * n, "dist-rows");
-      d_ymat = device.alloc_global<Scalar>(rows * n, "y-rows");
-    }
-    spmd::DeviceBuffer<Scalar> d_sum_y =
-        device.alloc_global<Scalar>(rows * k, "sum-y");
-    spmd::DeviceBuffer<Scalar> d_sum_w =
-        device.alloc_global<Scalar>(rows * k, "sum-w");
-    spmd::DeviceBuffer<Scalar> d_resid =
-        device.alloc_global<Scalar>(rows * k, "residuals");
-    spmd::DeviceBuffer<Scalar> d_scores =
-        device.alloc_global<Scalar>(k, "slice-scores");
-
-    std::span<const Scalar> xs = d_x.span();
-    std::span<const Scalar> ys = d_y.span();
-    spmd::MemView<const Scalar> hs = c_grid.view();
-    std::span<Scalar> dist_all = d_dist.span();
-    std::span<Scalar> ymat_all = d_ymat.span();
-    spmd::MemView<Scalar> sum_y_all = d_sum_y.view();
-    spmd::MemView<Scalar> sum_w_all = d_sum_w.view();
-    spmd::MemView<Scalar> resid_all = d_resid.view();
-
-    // Main kernel over this device's slice; residuals are written
-    // bandwidth-major within the slice (k groups of `rows`).
-    const spmd::LaunchConfig cfg = spmd::LaunchConfig::cover(rows, tpb);
-    device.launch("cv_sweep_slice", cfg,
-                  [&, base, rows, n, k](const spmd::ThreadCtx& t) {
-      const std::size_t r = t.global_idx();
-      if (r >= rows) {
-        return;
-      }
-      const std::size_t obs = base + r;
-      std::vector<Scalar> local_dist;
-      std::vector<Scalar> local_y;
-      std::span<Scalar> dist;
-      std::span<Scalar> yrow;
-      if (streaming) {
-        local_dist.resize(n);
-        local_y.resize(n);
-        dist = local_dist;
-        yrow = local_y;
-      } else {
-        dist = dist_all.subspan(r * n, n);
-        yrow = ymat_all.subspan(r * n, n);
-      }
-      detail::sweep_thread<Scalar>(
-          xs, ys, hs, poly, obs, dist, yrow, sum_y_all.subview(r * k, k),
-          sum_w_all.subview(r * k, k),
-          [&](std::size_t b, Scalar sq) { resid_all[b * rows + r] = sq; });
-    });
-
-    // Per-bandwidth slice reductions on this device.
-    spmd::MemView<Scalar> scores = d_scores.view();
-    for (std::size_t b = 0; b < k; ++b) {
-      scores[b] = spmd::reduce_sum<Scalar>(device,
-                                           resid_all.subview(b * rows, rows),
-                                           tpb, config.reduce_variant);
+          device, config.stream, model, host_x, base, host_grid.back(),
+          model.bytes(rows, k));
+      totals = detail::run_window_tiles<Scalar>(
+          device, slice_config, host_x, host_y, base, rows, host_grid, plan);
+    } else {
+      totals = detail::run_per_row_slice<Scalar>(
+          device, slice_config, host_x, host_y, base, rows, host_grid);
     }
     for (std::size_t b = 0; b < k; ++b) {
-      combined[b] += static_cast<double>(scores[b]);
+      combined[b] += static_cast<double>(totals[b]);
     }
   }
 

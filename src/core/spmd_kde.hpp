@@ -48,11 +48,15 @@ struct SpmdKdeConfig {
 ///      thread's |Δ| row (iterative quicksort), then sweep the ascending
 ///      grid with two admission pointers (supports h and 2h), writing
 ///      per-(i, h) leave-one-out and convolution sums, bandwidth-major.
-///      Window: grow the two admission windows over the globally sorted X
-///      (kde_window_sweep_thread) and write the combined LSCV partial.
+///      Window: seed the two admission windows over the globally sorted X
+///      and grow them across the grid (kde_window_sweep_resume), writing
+///      the combined LSCV partial. Every streamed plan runs this same body
+///      in one tile loop (n-blocks × k-blocks), carrying the windows
+///      between k-blocks.
 ///   3. Single-block Harris reductions (2k per-row, k window) produce the
 ///      per-bandwidth totals; the LSCV scores assemble on the host and one
-///      argmin reduction picks the bandwidth.
+///      argmin reduction picks the bandwidth (a host argmin on streamed
+///      plans).
 ///
 /// Only double precision is offered (LSCV subtracts two near-equal O(1)
 /// terms, where float's 7 digits are marginal). Requires

@@ -173,21 +173,8 @@ std::vector<Scalar> run_window_tiles(spmd::Device& device,
       }
 
       if (lane_carried) {
-        // Lane accumulation: thread `lane` folds this block's residuals for
-        // rows ≡ lane (mod lane_dim) — ascending, element by element,
-        // straight into the carried accumulator — phase 1 of the resident
-        // reduction continued across n-blocks.
-        device.launch("score_lane_accum", spmd::LaunchConfig{1, lane_dim},
-                      [&, nb, kb, n0, b0](const spmd::ThreadCtx& t) {
-          const std::size_t lane = t.global_idx();
-          const std::size_t start = first_lane_row(n0, lane, lane_dim);
-          for (std::size_t b = 0; b < kb; ++b) {
-            for (std::size_t r = start; r < nb; r += lane_dim) {
-              lanes[(b0 + b) * lane_dim + lane] +=
-                  resid_all[bandwidth_major ? b * nb + r : r * kb + b];
-            }
-          }
-        });
+        lane_accumulate<Scalar>(device, lanes, resid_all, nb, kb,
+                                bandwidth_major, n0, b0, lane_dim);
         continue;
       }
       // One n-block: reduce each residual column right away (paper §IV-B:
@@ -222,6 +209,106 @@ std::vector<Scalar> run_window_tiles(spmd::Device& device,
   return totals;
 }
 
+template <class Scalar>
+std::vector<Scalar> run_per_row_slice(spmd::Device& device,
+                                      const SpmdSelectorConfig& config,
+                                      std::span<const Scalar> host_x,
+                                      std::span<const Scalar> host_y,
+                                      std::size_t base, std::size_t rows,
+                                      std::span<const Scalar> host_grid) {
+  const std::size_t n = host_x.size();
+  const std::size_t k = host_grid.size();
+  const std::size_t tpb = std::min(config.threads_per_block,
+                                   device.properties().max_threads_per_block);
+  const SweepPolynomial poly = sweep_polynomial(config.kernel);
+  const bool bandwidth_major = config.layout == ResidualLayout::kBandwidthMajor;
+  const bool streaming = config.streaming;
+
+  // Device memory plan (paper §IV-A): bandwidths in constant memory (the
+  // 8 KB working set caps k), the full X/Y in global memory.
+  spmd::ConstantBuffer<Scalar> c_grid =
+      device.upload_constant<Scalar>(host_grid, "bandwidth-grid");
+  spmd::DeviceBuffer<Scalar> d_x = device.alloc_global<Scalar>(n, "x");
+  spmd::DeviceBuffer<Scalar> d_y = device.alloc_global<Scalar>(n, "y");
+  device.copy_to_device(d_x, host_x);
+  device.copy_to_device(d_y, host_y);
+
+  // Two rows×n matrices for the per-thread sorted rows (skipped in
+  // streaming mode, the paper's future-work extension), two rows×k matrices
+  // of bandwidth-specific sums, and the rows×k squared-residual matrix
+  // feeding the reductions.
+  spmd::DeviceBuffer<Scalar> d_dist;
+  spmd::DeviceBuffer<Scalar> d_ymat;
+  if (!streaming) {
+    d_dist = device.alloc_global<Scalar>(rows * n, "dist-rows");
+    d_ymat = device.alloc_global<Scalar>(rows * n, "y-rows");
+  }
+  spmd::DeviceBuffer<Scalar> d_sum_y =
+      device.alloc_global<Scalar>(rows * k, "sum-y");
+  spmd::DeviceBuffer<Scalar> d_sum_w =
+      device.alloc_global<Scalar>(rows * k, "sum-w");
+  spmd::DeviceBuffer<Scalar> d_resid =
+      device.alloc_global<Scalar>(rows * k, "residuals");
+
+  // X/Y and the row matrices stay raw spans: the per-thread quicksort needs
+  // raw element references. The grid, sums and residuals go through
+  // checked views so a sanitizer-enabled device instruments them.
+  std::span<const Scalar> xs = d_x.span();
+  std::span<const Scalar> ys = d_y.span();
+  spmd::MemView<const Scalar> hs = c_grid.view();
+  std::span<Scalar> dist_all = d_dist.span();
+  std::span<Scalar> ymat_all = d_ymat.span();
+  spmd::MemView<Scalar> sum_y_all = d_sum_y.view();
+  spmd::MemView<Scalar> sum_w_all = d_sum_w.view();
+  spmd::MemView<Scalar> resid_all = d_resid.view();
+
+  // Main kernel (paper §IV-B): one thread per row; no shared memory or
+  // cross-thread coordination, so an independent launch.
+  device.launch("cv_sweep", spmd::LaunchConfig::cover(rows, tpb),
+                [&, base, rows, n, k](const spmd::ThreadCtx& t) {
+    const std::size_t r = t.global_idx();
+    if (r >= rows) {
+      return;  // padding thread in the last block
+    }
+    // Thread r's rows of the distance and Y matrices. In streaming mode the
+    // rows live in thread-local scratch ("local memory") instead.
+    std::vector<Scalar> local_dist;
+    std::vector<Scalar> local_y;
+    std::span<Scalar> dist;
+    std::span<Scalar> yrow;
+    if (streaming) {
+      local_dist.resize(n);
+      local_y.resize(n);
+      dist = local_dist;
+      yrow = local_y;
+    } else {
+      dist = dist_all.subspan(r * n, n);
+      yrow = ymat_all.subspan(r * n, n);
+    }
+    // Bandwidth-major "to facilitate efficient caching… the array is
+    // indexed as k separate groups of n" (here: of `rows`).
+    sweep_thread<Scalar>(
+        xs, ys, hs, poly, base + r, dist, yrow, sum_y_all.subview(r * k, k),
+        sum_w_all.subview(r * k, k), [&](std::size_t b, Scalar sq) {
+          resid_all[bandwidth_major ? b * rows + r : r * k + b] = sq;
+        });
+  });
+
+  // Reductions (paper §IV-B): one single-block sum reduction per bandwidth
+  // — a contiguous run bandwidth-major, stride k observation-major.
+  const std::size_t block_dim = spmd::detail::reduction_block_dim(device, tpb);
+  std::vector<Scalar> totals(k);
+  for (std::size_t b = 0; b < k; ++b) {
+    totals[b] = bandwidth_major
+                    ? spmd::reduce_sum<Scalar>(
+                          device, resid_all.subview(b * rows, rows), tpb,
+                          config.reduce_variant)
+                    : strided_score_reduce<Scalar>(device, resid_all, rows,
+                                                   k, b, block_dim);
+  }
+  return totals;
+}
+
 template std::vector<float> run_window_tiles<float>(
     spmd::Device&, const SpmdSelectorConfig&, std::span<const float>,
     std::span<const float>, std::size_t, std::size_t, std::span<const float>,
@@ -230,5 +317,13 @@ template std::vector<double> run_window_tiles<double>(
     spmd::Device&, const SpmdSelectorConfig&, std::span<const double>,
     std::span<const double>, std::size_t, std::size_t,
     std::span<const double>, const StreamingPlan&);
+
+template std::vector<float> run_per_row_slice<float>(
+    spmd::Device&, const SpmdSelectorConfig&, std::span<const float>,
+    std::span<const float>, std::size_t, std::size_t, std::span<const float>);
+template std::vector<double> run_per_row_slice<double>(
+    spmd::Device&, const SpmdSelectorConfig&, std::span<const double>,
+    std::span<const double>, std::size_t, std::size_t,
+    std::span<const double>);
 
 }  // namespace kreg::detail

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/batched_sweep.hpp"
@@ -79,8 +80,9 @@ GridSpec parse_grid_spec(std::string_view text) {
   spec.lo = parse_double(text.substr(0, first), "grid lo");
   spec.hi = parse_double(text.substr(first + 1, second - first - 1), "grid hi");
   const std::uint64_t count = parse_u64(text.substr(second + 1), "grid count");
-  if (count == 0) {
-    throw std::invalid_argument("parse_request: grid count must be positive");
+  if (count == 0 || count > kMaxGridCount) {
+    throw std::invalid_argument("parse_request: grid count must be in [1, " +
+                                std::to_string(kMaxGridCount) + "]");
   }
   spec.count = static_cast<std::size_t>(count);
   return spec;
@@ -173,8 +175,9 @@ Request parse_request(std::string_view line) {
       request.dgp = std::string(value);
     } else if (key == "n") {
       const std::uint64_t n = parse_u64(value, "n");
-      if (n < 2) {
-        throw std::invalid_argument("parse_request: n must be >= 2");
+      if (n < 2 || n > kMaxRequestRows) {
+        throw std::invalid_argument("parse_request: n must be in [2, " +
+                                    std::to_string(kMaxRequestRows) + "]");
       }
       request.n = static_cast<std::size_t>(n);
     } else if (key == "seed") {

@@ -24,6 +24,13 @@ namespace kreg::serve {
 ///          [budget=<bytes-with-suffix>]
 ///
 /// Responses: "ok ..." or "error <message>".
+///
+/// `n` and the grid count are capped at parse time: the daemon generates
+/// and caches all n rows, and reserves the whole grid, before any job check
+/// runs, so an unbounded value would let one line exhaust its memory.
+inline constexpr std::size_t kMaxRequestRows = 10'000'000;
+inline constexpr std::size_t kMaxGridCount = 65'536;
+
 enum class RequestKind { kSelect, kStats, kPing, kShutdown };
 
 /// Grid range requested by a select line; unset means "use the library

@@ -74,13 +74,29 @@ TEST(MultiDevice, MatchesHostReferenceWithThreeDevices) {
   }
 }
 
-// A one-device list is the single-device selector: the same tile loop over
-// the same rows, so the bandwidth and every score agree bit for bit on
-// every plan shape, precision and lane width.
+// A one-device list is the single-device selector: the same sweep over the
+// same rows, so the bandwidth and every score agree bit for bit on every
+// window plan shape, precision and lane width, and on every per-row-sort
+// configuration (row storage, precision, residual layout).
 TEST(MultiDevice, SingleDeviceListBehavesLikeSpmdSelector) {
   const Dataset d = paper_data(701, 3);
   const BandwidthGrid grid = BandwidthGrid::default_for(d, 23);
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto expect_same = [&](const Dataset& data, const BandwidthGrid& g,
+                               const SpmdSelectorConfig& cfg) {
+    Device dev;
+    Device reference_dev;
+    const auto multi = MultiDeviceGridSelector({&dev}, cfg).select(data, g);
+    const auto single =
+        kreg::SpmdGridSelector(reference_dev, cfg).select(data, g);
+    EXPECT_EQ(bits(multi.bandwidth), bits(single.bandwidth));
+    ASSERT_EQ(multi.scores.size(), single.scores.size());
+    for (std::size_t b = 0; b < single.scores.size(); ++b) {
+      EXPECT_EQ(bits(multi.scores[b]), bits(single.scores[b]))
+          << "b=" << b << ": " << multi.scores[b] << " vs "
+          << single.scores[b];
+    }
+  };
   struct Blocks {
     std::size_t n_block;
     std::size_t k_block;
@@ -98,18 +114,28 @@ TEST(MultiDevice, SingleDeviceListBehavesLikeSpmdSelector) {
                      " k_block=" + std::to_string(blocks.k_block) +
                      " precision=" + std::string(kreg::to_string(precision)) +
                      " lane_width=" + std::to_string(lane_width));
-        Device dev;
-        Device reference_dev;
-        const auto multi = MultiDeviceGridSelector({&dev}, cfg).select(d, grid);
-        const auto single =
-            kreg::SpmdGridSelector(reference_dev, cfg).select(d, grid);
-        EXPECT_EQ(bits(multi.bandwidth), bits(single.bandwidth));
-        ASSERT_EQ(multi.scores.size(), single.scores.size());
-        for (std::size_t b = 0; b < single.scores.size(); ++b) {
-          EXPECT_EQ(bits(multi.scores[b]), bits(single.scores[b]))
-              << "b=" << b << ": " << multi.scores[b] << " vs "
-              << single.scores[b];
-        }
+        expect_same(d, grid, cfg);
+      }
+    }
+  }
+
+  const Dataset per_row_data = paper_data(301, 3);
+  const BandwidthGrid per_row_grid = BandwidthGrid::default_for(per_row_data,
+                                                                17);
+  for (const bool streaming : {false, true}) {
+    for (const Precision precision : {Precision::kFloat, Precision::kDouble}) {
+      for (const kreg::ResidualLayout layout :
+           {kreg::ResidualLayout::kBandwidthMajor,
+            kreg::ResidualLayout::kObservationMajor}) {
+        SpmdSelectorConfig cfg;
+        cfg.algorithm = kreg::SweepAlgorithm::kPerRowSort;
+        cfg.streaming = streaming;
+        cfg.precision = precision;
+        cfg.layout = layout;
+        SCOPED_TRACE("per-row streaming=" + std::to_string(streaming) +
+                     " precision=" + std::string(kreg::to_string(precision)) +
+                     " layout=" + std::string(kreg::to_string(layout)));
+        expect_same(per_row_data, per_row_grid, cfg);
       }
     }
   }

@@ -507,6 +507,8 @@ TEST(ParseRequest, RejectsMalformedSelects) {
       "select precision=half",    "select kernel=boxcar",
       "select dgp=",              "select budget=1.5X",
       "select lane=4",            "select lane=3",
+      "select n=10000001",        "select n=18446744073709551615",
+      "select grid=0.1:0.9:65537",
   };
   for (const char* line : bad) {
     EXPECT_THROW(kreg::serve::parse_request(line), std::invalid_argument)
@@ -1125,6 +1127,33 @@ TEST(ServerTest, OverlongLineGetsAnErrorAndTheDaemonLives) {
 
   const int client = connect_unix(config.socket_path);
   ASSERT_GE(client, 0);
+  ASSERT_TRUE(send_line(client, "select n=128 seed=5 grid=0.05:1.0:12"));
+  const std::string response = read_line(client);
+  EXPECT_EQ(response.rfind("ok ", 0), 0u) << response;
+  ASSERT_TRUE(send_line(client, "shutdown"));
+  EXPECT_EQ(read_line(client), "ok shutting down");
+  ::close(client);
+  loop.join();
+}
+
+
+// A select whose n or grid count is past the protocol caps gets a typed
+// error before any dataset is generated, and the same connection is served
+// as usual afterwards.
+TEST(ServerTest, OversizeSelectGetsAnErrorAndTheDaemonLives) {
+  kreg::serve::ServerConfig config;
+  config.socket_path = ::testing::TempDir() + "kreg_oversize_" +
+                       std::to_string(::getpid()) + ".sock";
+  config.scheduler = pumpable_config();
+  kreg::serve::Server server(config);
+  std::thread loop([&server] { server.run(); });
+
+  const int client = connect_unix(config.socket_path);
+  ASSERT_GE(client, 0);
+  ASSERT_TRUE(send_line(client, "select n=1000000000000 backend=host"));
+  EXPECT_EQ(read_line(client).rfind("error ", 0), 0u);
+  ASSERT_TRUE(send_line(client, "select grid=0.1:0.9:100000000000"));
+  EXPECT_EQ(read_line(client).rfind("error ", 0), 0u);
   ASSERT_TRUE(send_line(client, "select n=128 seed=5 grid=0.05:1.0:12"));
   const std::string response = read_line(client);
   EXPECT_EQ(response.rfind("ok ", 0), 0u) << response;

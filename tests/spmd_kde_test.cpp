@@ -194,6 +194,23 @@ TEST(SpmdKdeWindow, EstimatedBytesMatchesLedgerPeak) {
   }
 }
 
+// The k-block plans hold the sorted x, both windows' carried moment sums and
+// pointers, and one n×k_block partial block — no more, no less.
+TEST(SpmdKdeWindow, KBlockEstimatedBytesMatchesLedgerPeak) {
+  constexpr std::size_t kN = 300;
+  const auto xs = sample(kN, 195);
+  const BandwidthGrid grid(0.1, 1.0, 12);
+  for (const std::size_t k_block : {3u, 5u}) {
+    Device dev;
+    SpmdKdeConfig cfg;
+    cfg.stream.k_block = k_block;
+    (void)SpmdKdeSelector(dev, cfg).select(xs, grid);
+    EXPECT_EQ(dev.global_peak(),
+              SpmdKdeSelector::estimated_streamed_bytes(kN, k_block))
+        << "k_block=" << k_block;
+  }
+}
+
 TEST(SpmdKdeWindow, NameReportsAlgorithm) {
   Device dev;
   SpmdKdeConfig cfg;

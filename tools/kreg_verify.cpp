@@ -3,8 +3,9 @@
 //
 // Each scenario drives one production backend (regression window sweep in
 // its scalar / lane-batched / k-block streamed / 2-D tiled / multi-device
-// forms, the KDE LSCV sweep, the k-NN LOOCV sweep, the OSCV sweep) on a
-// SymbolicDevice, which traces every launch serially through the
+// forms, the paper's per-row-sort sweep in both residual layouts and
+// across devices, the KDE LSCV sweep, the k-NN LOOCV sweep, the OSCV
+// sweep) on a SymbolicDevice, which traces every launch serially through the
 // sanitizer's shadows and proves its access families disjoint over two
 // symbolic thread identities (see src/spmd/verify/). Every scenario runs
 // TWICE on different datasets: a launch whose conflict-relevant trace
@@ -93,6 +94,10 @@ std::vector<Scenario> scenarios() {
   SpmdSelectorConfig tiled = scalar;
   tiled.stream.k_block = 5;
   tiled.stream.n_block = 96;
+  SpmdSelectorConfig per_row = scalar;
+  per_row.algorithm = kreg::SweepAlgorithm::kPerRowSort;
+  SpmdSelectorConfig per_row_obs_major = per_row;
+  per_row_obs_major.layout = kreg::ResidualLayout::kObservationMajor;
   // Two slices, both traced on the scenario's one device.
   const auto regress_multi = [](SpmdSelectorConfig cfg) {
     return [cfg](SymbolicDevice& dev, const Dataset& d) {
@@ -143,8 +148,11 @@ std::vector<Scenario> scenarios() {
       {"regress_batched_c16_float", regress(batched_c16_float)},
       {"regress_kblock_streamed", regress(kblock)},
       {"regress_2d_tiled", regress(tiled)},
+      {"regress_per_row", regress(per_row)},
+      {"regress_per_row_obs_major", regress(per_row_obs_major)},
       {"regress_multi_device", regress_multi(scalar)},
       {"regress_multi_device_2d_tiled", regress_multi(multi_tiled)},
+      {"regress_multi_device_per_row", regress_multi(per_row)},
       {"kde_resident", kde(kde_resident)},
       {"kde_kblock_streamed", kde(kde_kblock)},
       {"kde_2d_tiled", kde(kde_tiled)},
